@@ -47,12 +47,11 @@ from .simulation import (
     SimFollowup,
     TrialDesign,
     TrialFrame,
-    TrialRecord,
     prop_above,
     sim_followup,
     simulate_trial,
 )
-from .survdata import KmCurve, SurvSample, cut_data, km_fit, read_survival_csv
+from .survdata import KmCurve, SurvSample, cut_data, km_fit, read_survival_csv, write_table
 
 __version__ = "0.1.0"
 
@@ -60,14 +59,14 @@ __all__ = [
     "PweModel", "hazard", "cumulative_hazard", "density", "survival", "cdf",
     "quantile", "sample", "conditional_survival", "conditional_cdf",
     "conditional_quantile", "conditional_sample",
-    "SurvSample", "KmCurve", "km_fit", "cut_data", "read_survival_csv",
+    "SurvSample", "KmCurve", "km_fit", "cut_data", "read_survival_csv", "write_table",
     "PieceTally", "FitConfig", "FitResult", "piece_tally", "loglik",
     "mle_given_breakpoints", "validate_breakpoints", "fit_bfs", "fit_ols",
     "fit_hybrid", "fit",
     "BootFit", "CvResult", "boot_fit", "cv_loglik",
     "AccrualPlan", "TrialSnapshot", "PredictionEnsemble", "predict_events",
     "event_interval", "timeline_for_events",
-    "ArmModel", "TrialDesign", "TrialFrame", "TrialRecord", "simulate_trial",
+    "ArmModel", "TrialDesign", "TrialFrame", "simulate_trial",
     "sim_followup", "SimFollowup", "prop_above",
     "PwexpError", "EmptyPieceError", "NoFeasibleModelError",
     "__version__",

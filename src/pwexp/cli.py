@@ -8,7 +8,6 @@ reproducible from the manifest written next to each output file, and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -27,7 +26,7 @@ from .prediction import (
 )
 from .resampling import BootFit, boot_fit, cv_loglik
 from .simulation import ArmModel, TrialDesign, prop_above, sim_followup, simulate_trial
-from .survdata import cut_data, km_fit, read_survival_csv
+from .survdata import cut_data, km_fit, read_survival_csv, write_table
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -196,12 +195,7 @@ def _print_fit_summary(res: FitResult, file=sys.stdout):
 
 def _write_curve_csv(path, model, upto: float, points: int = 200):
     ts = np.linspace(0.0, upto, points + 1)
-    sv = np.atleast_1d(dist.survival(model, ts))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "survival"])
-        for t, s in zip(ts, sv):
-            w.writerow([repr(float(t)), repr(float(s))])
+    write_table(path, {"time": ts, "survival": np.atleast_1d(dist.survival(model, ts))})
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +244,14 @@ def _cmd_simulate(args, argv):
 def _cmd_cut(args, argv):
     data = _read_data(args, calendar=True)
     out = cut_data(data, args.cut)
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([args.id_col, args.rand_time_col, args.time_col, args.event_col,
-                    args.follow_abs_time_col, args.censor_reason_col])
-        for i in range(len(out)):
-            reason = out.censor_reason[i] if out.censor_reason is not None else None
-            w.writerow([
-                out.ids[i] if out.ids is not None else i + 1,
-                repr(float(out.rand_time[i])),
-                repr(float(out.time[i])),
-                int(out.event[i]),
-                repr(float(out.follow_abs_time[i])),
-                "NA" if reason is None else reason,
-            ])
+    write_table(args.out, {
+        args.id_col: out.ids if out.ids is not None else np.arange(1, len(out) + 1),
+        args.rand_time_col: out.rand_time,
+        args.time_col: out.time,
+        args.event_col: out.event,
+        args.follow_abs_time_col: out.follow_abs_time,
+        args.censor_reason_col: out.censor_reason,
+    })
     _write_manifest(args.out, "cut", argv)
     print(f"retained {len(out)} of {len(data)} subjects at cut {args.cut:g}")
     return 0
@@ -271,11 +259,7 @@ def _cmd_cut(args, argv):
 
 def _cmd_km(args, argv):
     curve = km_fit(_read_data(args))
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "survival"])
-        for t, s in zip(curve.time, curve.survival):
-            w.writerow([repr(float(t)), repr(float(s))])
+    write_table(args.out, {"time": curve.time, "survival": curve.survival})
     _write_manifest(args.out, "km", argv)
     return 0
 

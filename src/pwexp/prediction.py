@@ -10,7 +10,6 @@ parameter uncertainty carried by bootstrap replicates.
 """
 from __future__ import annotations
 
-import csv
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import PwexpError
 from .estimation import FitResult
 from .resampling import BootFit
 from .rng import derive_rng
-from .survdata import SurvSample
+from .survdata import SurvSample, write_table
 
 __all__ = [
     "AccrualPlan",
@@ -371,11 +370,8 @@ def timeline_for_events(
 
 
 def write_interval_csv(rows: np.ndarray, path, timeline: bool = False):
-    """CSV with header time,n_event,lower,upper (swapped for timeline mode);
-    missing bounds are written as ``NA``."""
+    """CSV with header time,n_event,lower,upper (swapped for timeline mode),
+    in the cell format of :func:`write_table`: missing (NaN) bounds are
+    written as ``NA``, an infinite time as ``Inf``."""
     header = ["n_event", "time", "lower", "upper"] if timeline else ["time", "n_event", "lower", "upper"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["NA" if not np.isfinite(v) else repr(float(v)) for v in row])
+    write_table(path, dict(zip(header, np.asarray(rows, dtype=float).reshape(-1, 4).T)))

@@ -1,17 +1,16 @@
 """Bootstrap parameter uncertainty and cross-validated log-likelihood."""
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import EmptyPieceError, NoFeasibleModelError, PwexpError
+from .errors import EmptyPieceError, NoFeasibleModelError
 from .estimation import FitConfig, FitResult, fit, loglik
 from .rng import derive_rng, derive_seed
-from .survdata import SurvSample
+from .survdata import SurvSample, write_table
 
 __all__ = ["BootFit", "CvResult", "boot_fit", "cv_loglik"]
 
@@ -20,8 +19,9 @@ __all__ = ["BootFit", "CvResult", "boot_fit", "cv_loglik"]
 class BootFit:
     """Per-replicate fits from case resampling with replacement.
 
-    ``base`` is the fit on the original data (absent after a JSON
-    round-trip, whose schema carries only the replicates).
+    ``base`` is the fit on the original data; ``failures`` says which
+    replicates failed and why. Both survive the JSON round trip; JSON
+    written without them loads with ``base=None`` and no failures.
     """
 
     replicates: list[FitResult]
@@ -43,6 +43,8 @@ class BootFit:
             "replicates": [r.to_dict() for r in self.replicates],
             "seed": self.seed,
             "nsim": self.nsim,
+            "base": self.base.to_dict() if self.base is not None else None,
+            "failures": list(self.failures),
         }
 
     def save_json(self, path):
@@ -57,6 +59,8 @@ class BootFit:
             config=None,
             nsim=int(d["nsim"]),
             seed=int(d["seed"]),
+            base=FitResult.from_dict(d["base"]) if d.get("base") is not None else None,
+            failures=list(d.get("failures", [])),
         )
 
     @classmethod
@@ -76,11 +80,7 @@ class CvResult:
     n_failed: int = 0
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cv_loglik"])
-            for v in self.values:
-                w.writerow([repr(float(v))])
+        write_table(path, {"cv_loglik": self.values})
 
 
 def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -160,10 +160,11 @@ def _cv_worker(payload):
         cfg = replace(config, seed=derive_seed(seed, 4, i, attempt))
         try:
             res = fit(train, cfg)
-        except (EmptyPieceError, NoFeasibleModelError):
+        except (EmptyPieceError, NoFeasibleModelError) as exc:
+            last = f"{type(exc).__name__}: {exc}"
             continue
         return True, loglik(res.model, test)
-    return False, f"repetition {i}: no feasible training fit in 6 draws"
+    return False, f"repetition {i}: no feasible training fit in 6 draws; last: {last}"
 
 
 def cv_loglik(
@@ -182,7 +183,8 @@ def cv_loglik(
     two models compared under the same seed see identical splits. A training
     fit that raises :class:`EmptyPieceError` or :class:`NoFeasibleModelError`
     is redrawn up to five times, then recorded as a failure; any other
-    exception propagates.
+    exception propagates. When every repetition fails,
+    :class:`NoFeasibleModelError` names the first failure's last reason.
     """
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
@@ -194,13 +196,13 @@ def cv_loglik(
         _cv_worker, [(data, config, seed, i, test_fraction) for i in range(nsim)], threads
     )
     values = np.array([val for ok, val in out if ok], dtype=float)
-    n_failed = sum(1 for ok, _ in out if not ok)
+    failures = [val for ok, val in out if not ok]
     if len(values) == 0:
-        raise PwexpError("every cross-validation repetition failed")
+        raise NoFeasibleModelError(f"every cross-validation repetition failed; {failures[0]}")
     return CvResult(
         values=values,
         split_fraction=test_fraction,
         nsim=nsim,
         seed=int(seed),
-        n_failed=n_failed,
+        n_failed=len(failures),
     )

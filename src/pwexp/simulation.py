@@ -1,23 +1,22 @@
 """Synthetic trial generation and design-stage follow-up simulation."""
 from __future__ import annotations
 
-import csv
+import pickle
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, sample as pwe_sample
 from .rng import derive_rng
-from .survdata import SurvSample
+from .survdata import SurvSample, write_table
 
 __all__ = [
     "Sampler",
     "ArmModel",
     "TrialDesign",
-    "TrialRecord",
     "TrialFrame",
     "simulate_trial",
     "sim_followup",
@@ -112,22 +111,6 @@ class TrialDesign:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    id: int
-    group: str
-    stratum: str
-    randT: float
-    eventT: float
-    dropT: float
-    deathT: float
-    followT: float
-    followT_abs: float
-    event: int
-    censor: int
-    censor_reason: str | None
-
-
-@dataclass(frozen=True)
 class TrialFrame:
     """Columnar trial dataset; one entry per subject in every array."""
 
@@ -147,23 +130,6 @@ class TrialFrame:
     def __len__(self) -> int:
         return len(self.id)
 
-    def rows(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield TrialRecord(
-                id=int(self.id[i]),
-                group=str(self.group[i]),
-                stratum=str(self.stratum[i]),
-                randT=float(self.randT[i]),
-                eventT=float(self.eventT[i]),
-                dropT=float(self.dropT[i]),
-                deathT=float(self.deathT[i]),
-                followT=float(self.followT[i]),
-                followT_abs=float(self.followT_abs[i]),
-                event=int(self.event[i]),
-                censor=int(self.censor[i]),
-                censor_reason=self.censor_reason[i],
-            )
-
     def to_surv_sample(self) -> SurvSample:
         return SurvSample(
             time=self.followT,
@@ -175,25 +141,13 @@ class TrialFrame:
         )
 
     def write_csv(self, path):
-        """CSV with one row per subject; infinities as the literal ``Inf``."""
-
-        def fmt(v):
-            if isinstance(v, float):
-                return "Inf" if np.isposinf(v) else repr(v)
-            return "NA" if v is None else v
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["ID", "randT", "eventT", "dropT", "deathT", "censor_reason",
-                 "event", "followT", "followT_abs", "censor", "group", "stratum"]
-            )
-            for r in self.rows():
-                w.writerow(
-                    [r.id, fmt(r.randT), fmt(r.eventT), fmt(r.dropT), fmt(r.deathT),
-                     fmt(r.censor_reason), r.event, fmt(r.followT), fmt(r.followT_abs),
-                     r.censor, r.group, r.stratum]
-                )
+        """CSV with one row per subject, in the cell format of :func:`write_table`."""
+        write_table(path, {
+            "ID": self.id, "randT": self.randT, "eventT": self.eventT, "dropT": self.dropT,
+            "deathT": self.deathT, "censor_reason": self.censor_reason, "event": self.event,
+            "followT": self.followT, "followT_abs": self.followT_abs, "censor": self.censor,
+            "group": self.group, "stratum": self.stratum,
+        })
 
 
 def _draw(d, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -338,15 +292,11 @@ class SimFollowup:
     n_unreached: int
 
     def save_csv(self, path, by_group: bool = False):
+        """The overall (or by-group) table, in the cell format of :func:`write_table`."""
         rows = self.by_group if by_group else self.overall
         if rows is None:
             raise ValueError("no by-group table was requested")
-        cols = list(rows[0].keys())
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for r in rows:
-                w.writerow([r[c] if isinstance(r[c], str) else repr(float(r[c])) for c in cols])
+        write_table(path, {c: [r[c] for r in rows] for c in rows[0]})
 
 
 def _resolve_cut(frame: TrialFrame, milestone: float, kind: str) -> tuple[float, bool]:
@@ -433,6 +383,9 @@ def sim_followup(
     randomization to the earliest endpoint in ``follow_up_endpoint``).
     Values are means over replicates. A replicate that never reaches a
     milestone contributes its end-of-horizon state and triggers a warning.
+    With ``threads > 1`` the design and ``stats`` are sent to worker
+    processes, so sampler hooks and statistics must be module-level
+    callables; anything that cannot be pickled raises ``ValueError``.
     """
     if rep < 1:
         raise ValueError("rep must be >= 1")
@@ -442,6 +395,14 @@ def sim_followup(
     bad = set(follow_up_endpoint) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")
+    if threads > 1:
+        try:
+            pickle.dumps((design, tuple(stats)))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                "with threads > 1, sampler hooks and statistics must be module-level "
+                f"callables that worker processes can import: {exc}"
+            ) from exc
     group_names = [g for g, _ in design.groups] if by_group else []
     payloads = [
         (design, seed, r, at, type, tuple(follow_up_endpoint), tuple(stats), group_names)

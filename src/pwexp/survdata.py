@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["SurvSample", "KmCurve", "km_fit", "cut_data", "read_survival_csv"]
+__all__ = ["SurvSample", "KmCurve", "km_fit", "cut_data", "read_survival_csv", "write_table"]
 
 NEVER_EVENT = "never_event"
 
@@ -162,6 +162,48 @@ def _parse_float(text: str) -> float:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return np.inf
     return float(text)
+
+
+_NONFINITE_CELLS = {"inf": "Inf", "-inf": "-Inf", "nan": "NA"}
+_WRITE_BLOCK_ROWS = 1024
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        text = repr(value)
+        return _NONFINITE_CELLS.get(text, text)
+    return str(value)
+
+
+def _format_column(arr: np.ndarray) -> list[str]:
+    if arr.dtype.kind == "f":
+        return [_NONFINITE_CELLS.get(text, text) for text in map(repr, arr.tolist())]
+    return [_format_cell(v) for v in arr.tolist()]
+
+
+def write_table(path, columns: Mapping[str, Sequence]) -> None:
+    """Write equal-length 1-D ``columns`` (header -> values, in order) as CSV.
+
+    Every cell follows one rule, the one :func:`read_survival_csv` parses:
+    a float is written with ``repr`` (so it reads back exactly), +inf as
+    ``Inf``, -inf as ``-Inf``, NaN and ``None`` as ``NA``; any other value
+    with ``str``. Cells are quoted only when they need it and rows end in
+    ``\\r\\n``.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    lengths = {len(a) for a in arrays}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {[len(a) for a in arrays]}")
+    n_rows = max(lengths, default=0)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        # a block of rows at a time keeps the formatted cells' memory bounded
+        for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+            block = [_format_column(a[start:start + _WRITE_BLOCK_ROWS]) for a in arrays]
+            writer.writerows(zip(*block))
 
 
 def read_survival_csv(

@@ -1,0 +1,238 @@
+"""The ``pwexp`` command line, run in-process, against the library calls it
+wraps, and the CSV cell format shared by every table it writes."""
+import csv
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pwexp as pw
+from pwexp import distribution as dist
+from pwexp.cli import main
+from pwexp.survdata import read_survival_csv, write_table
+
+SEED = 11
+CUT = 20.0
+DESIGN_ARGS = [
+    "--rand_rate", "20", "--total_sample", "600", "--groups", "trt=1,con=1",
+    "--event", "trt=0.05,0.02@6", "--event", "con=0.1", "--drop_rate", "0.03",
+    "--seed", str(SEED),
+]
+# the library twin of DESIGN_ARGS; no death model, so every deathT is Inf
+DESIGN = pw.TrialDesign(
+    rand_rate=20,
+    total_sample=600,
+    groups=(("trt", 1.0), ("con", 1.0)),
+    dists={
+        "trt": pw.ArmModel(event=pw.PweModel((0.05, 0.02), (6.0,))),
+        "con": pw.ArmModel(event=pw.PweModel((0.1,))),
+    },
+    drop_rate=0.03,
+)
+CALENDAR = dict(time_col="followT", event_col="event", rand_time_col="randT",
+                follow_abs_time_col="followT_abs", censor_reason_col="censor_reason",
+                id_col="ID")
+
+
+def _columns(path) -> dict[str, list[str]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [r[name] for r in rows] for name in rows[0]}
+
+
+def _floats(cells) -> np.ndarray:
+    return np.array([np.nan if c == "NA" else float(c) for c in cells])
+
+
+def _header(path) -> bytes:
+    return path.read_bytes().split(b"\r\n", 1)[0]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    assert main(["simulate", *DESIGN_ARGS, "--out", str(d / "trial.csv")]) == 0
+    assert main(["cut", "--in", str(d / "trial.csv"), "--cut", str(CUT),
+                 "--out", str(d / "cut.csv")]) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def cut_sample(workdir) -> pw.SurvSample:
+    return read_survival_csv(workdir / "cut.csv", **CALENDAR)
+
+
+def test_simulate_matches_simulate_trial(workdir):
+    path = workdir / "trial.csv"
+    frame = pw.simulate_trial(DESIGN, SEED)
+    assert _header(path) == (b"ID,randT,eventT,dropT,deathT,censor_reason,event,"
+                             b"followT,followT_abs,censor,group,stratum")
+    back = read_survival_csv(path, **CALENDAR)
+    ref = frame.to_surv_sample()
+    assert np.array_equal(back.time, ref.time)
+    assert np.array_equal(back.rand_time, ref.rand_time)
+    assert np.array_equal(back.follow_abs_time, ref.follow_abs_time)
+    assert np.array_equal(back.event, ref.event)
+    assert list(back.censor_reason) == list(ref.censor_reason)
+    assert [int(i) for i in back.ids] == list(frame.id)
+    cols = _columns(path)
+    assert np.isinf(frame.deathT).all() and set(cols["deathT"]) == {"Inf"}
+    for name in ("eventT", "dropT", "deathT"):
+        assert np.array_equal(_floats(cols[name]), getattr(frame, name))
+    assert [int(c) for c in cols["censor"]] == list(frame.censor)
+    assert cols["group"] == list(frame.group)
+    assert cols["stratum"] == list(frame.stratum)
+
+
+def _never(n, rng):
+    return np.full(n, np.inf)
+
+
+def test_write_csv_round_trips_never_event(tmp_path):
+    design = pw.TrialDesign(
+        rand_rate=10, total_sample=40, groups=(("a", 1.0), ("b", 1.0)),
+        dists={"a": pw.ArmModel(event=pw.PweModel((0.1,))), "b": pw.ArmModel(event=_never)},
+    )
+    frame = pw.simulate_trial(design, 3)
+    frame.write_csv(tmp_path / "trial.csv")
+    back = read_survival_csv(tmp_path / "trial.csv", **CALENDAR)
+    never = frame.group == "b"
+    assert np.isinf(back.time[never]).all()
+    assert np.array_equal(back.time, frame.followT)
+    assert np.array_equal(back.follow_abs_time, frame.followT_abs)
+    assert list(back.censor_reason) == list(frame.censor_reason)
+
+
+def test_cut_matches_cut_data(workdir, cut_sample):
+    full = read_survival_csv(workdir / "trial.csv", **CALENDAR)
+    ref = pw.cut_data(full, CUT)
+    assert _header(workdir / "cut.csv") == b"ID,randT,followT,event,followT_abs,censor_reason"
+    assert np.array_equal(cut_sample.time, ref.time)
+    assert np.array_equal(cut_sample.rand_time, ref.rand_time)
+    assert np.array_equal(cut_sample.follow_abs_time, ref.follow_abs_time)
+    assert np.array_equal(cut_sample.event, ref.event)
+    assert list(cut_sample.censor_reason) == list(ref.censor_reason)
+    assert list(cut_sample.ids) == list(ref.ids)
+
+
+def test_km_matches_km_fit(workdir, cut_sample):
+    out = workdir / "km.csv"
+    assert main(["km", "--in", str(workdir / "cut.csv"), "--out", str(out)]) == 0
+    ref = pw.km_fit(cut_sample)
+    cols = _columns(out)
+    assert np.array_equal(_floats(cols["time"]), ref.time)
+    assert np.array_equal(_floats(cols["survival"]), ref.survival)
+
+
+@pytest.mark.parametrize("optimizer", ["bfs", "ols", "hybrid"])
+def test_fit_matches_fit(workdir, cut_sample, optimizer):
+    out, curve = workdir / f"fit_{optimizer}.json", workdir / f"curve_{optimizer}.csv"
+    argv = ["fit", "--in", str(workdir / "cut.csv"), "--nbreak", "1", "--optimizer", optimizer,
+            "--seed", str(SEED), "--out", str(out), "--curve-out", str(curve)]
+    assert main(argv) == 0
+    ref = pw.fit(cut_sample, pw.FitConfig(nbreak=1, optimizer=optimizer, seed=SEED))
+    assert pw.FitResult.load_json(out).to_dict() == ref.to_dict()
+    cols = _columns(curve)
+    ts = np.linspace(0.0, float(cut_sample.time.max()), 201)
+    assert np.array_equal(_floats(cols["time"]), ts)
+    assert np.array_equal(_floats(cols["survival"]), dist.survival(ref.model, ts))
+
+
+def test_cv_matches_cv_loglik(workdir, cut_sample):
+    out = workdir / "cv.csv"
+    argv = ["cv", "--in", str(workdir / "cut.csv"), "--nbreak", "1", "--optimizer", "bfs",
+            "--nsim", "3", "--seed", str(SEED), "--out", str(out)]
+    assert main(argv) == 0
+    ref = pw.cv_loglik(cut_sample, pw.FitConfig(nbreak=1, optimizer="bfs", seed=SEED),
+                       nsim=3, seed=SEED)
+    assert np.array_equal(_floats(_columns(out)["cv_loglik"]), ref.values)
+
+
+def test_boot_then_predict_matches_library(workdir, cut_sample):
+    boot = workdir / "boot.json"
+    assert main(["boot", "--in", str(workdir / "cut.csv"), "--nbreak", "1",
+                 "--optimizer", "bfs", "--nsim", "4", "--seed", str(SEED),
+                 "--out", str(boot)]) == 0
+    bf = pw.boot_fit(cut_sample, pw.FitConfig(nbreak=1, optimizer="bfs", seed=SEED),
+                     nsim=4, seed=SEED)
+    ens = pw.predict_events(bf, None, pw.TrialSnapshot.from_cut_sample(cut_sample, CUT),
+                            n_each=20, seed=SEED)
+    predict = ["predict", "--in", str(workdir / "cut.csv"), "--model", str(boot),
+               "--analysis_time", str(CUT), "--n_each", "20", "--seed", str(SEED)]
+    times = [22.0, 26.0, 30.0]
+    out = workdir / "interval.csv"
+    assert main([*predict, "--eval_at", "22,26,30", "--out", str(out)]) == 0
+    ref = pw.event_interval(ens, times)
+    cols = _columns(out)
+    for j, name in enumerate(("time", "n_event", "lower", "upper")):
+        np.testing.assert_array_equal(_floats(cols[name]), ref[:, j])
+    targets = [cut_sample.n_events + 5.0, cut_sample.n_events + 40.0, 1e6]
+    out = workdir / "timeline.csv"
+    assert main([*predict, "--xyswitch", "--eval_at", ",".join(map(repr, targets)),
+                 "--out", str(out)]) == 0
+    ref = pw.timeline_for_events(ens, targets)
+    cols = _columns(out)
+    assert cols["time"][-1] == "NA"
+    for j, name in enumerate(("n_event", "time", "lower", "upper")):
+        np.testing.assert_array_equal(_floats(cols[name]), ref[:, j])
+
+
+def test_followup_matches_sim_followup(workdir):
+    out = workdir / "followup.csv"
+    argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",
+            "--by_group", "--rep", "3", "--out", str(out)]
+    assert main(argv) == 0
+    ref = pw.sim_followup(DESIGN, at=[10.0, 25.0], stats=[np.mean, np.median, pw.prop_above(5)],
+                          by_group=True, rep=3, seed=SEED)
+    for path, rows in ((out, ref.overall), (workdir / "followup.csv.by_group.csv", ref.by_group)):
+        cols = _columns(path)
+        assert list(cols) == list(rows[0])
+        for name, cells in cols.items():
+            want = [r[name] for r in rows]
+            if name == "group":
+                assert cells == want
+            else:
+                np.testing.assert_array_equal(_floats(cells), want)
+
+
+def test_dist_matches_survival(workdir):
+    out = workdir / "dist.csv"
+    assert main(["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "1,7", "--out", str(out)]) == 0
+    cols = _columns(out)
+    model = pw.PweModel((0.1, 0.2), (5.0,))
+    assert np.array_equal(_floats(cols["value"]), dist.survival(model, np.array([1.0, 7.0])))
+
+
+def test_write_table_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, {
+        "x": np.array([1 / 3, np.inf, -np.inf, np.nan]),
+        "n": np.array([1, 2, 3, 4], dtype=np.int8),
+        "group": np.array(["a,b", None, "c", "d"], dtype=object),
+    })
+    assert path.read_bytes() == (b'x,n,group\r\n0.3333333333333333,1,"a,b"\r\n'
+                                 b"Inf,2,NA\r\n-Inf,3,c\r\nNA,4,d\r\n")
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
+@pytest.fixture(scope="module")
+def roundtrip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "t.csv"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, allow_nan=False), st.floats(allow_nan=False),
+                          st.integers(0, 1)), min_size=1, max_size=30))
+def test_float_columns_round_trip_exactly(roundtrip_path, rows):
+    time, rand, event = (np.array(c) for c in zip(*rows))
+    reason = np.array(["never_event" if np.isinf(t) else None for t in time], dtype=object)
+    write_table(roundtrip_path, {"time": time, "event": event, "rand": rand, "reason": reason})
+    back = read_survival_csv(roundtrip_path, rand_time_col="rand", censor_reason_col="reason")
+    assert back.time.tobytes() == time.astype(float).tobytes()
+    assert back.rand_time.tobytes() == rand.astype(float).tobytes()
+    assert np.array_equal(back.event, event)
+    assert list(back.censor_reason) == list(reason)

@@ -96,6 +96,17 @@ class TestBootFit:
         back = BootFit.load_json(path)
         assert back.nsim == bf.nsim and back.seed == bf.seed
         assert [r.model for r in back.replicates] == [r.model for r in bf.replicates]
+        assert back.base.to_dict() == bf.base.to_dict()
+        assert back.failures == bf.failures
+        assert back.to_dict() == bf.to_dict()
+
+    def test_json_without_base_and_failures_loads(self, small_train):
+        cfg = FitConfig(nbreak=1, optimizer="hybrid", seed=2)
+        d = boot_fit(small_train, cfg, nsim=2, seed=11).to_dict()
+        del d["base"], d["failures"]
+        back = BootFit.from_dict(d)
+        assert back.base is None and back.failures == []
+        assert len(back.replicates) == 2
 
     def test_interval_width_shrinks_with_n(self):
         widths = {}
@@ -150,6 +161,15 @@ class TestCvLoglik:
         d = SurvSample([1.0, 2.0, 3.0], [1, 1, 0])
         with pytest.raises(ValueError):
             cv_loglik(d, FitConfig(nbreak=2, optimizer="hybrid", seed=0), nsim=2, seed=0)
+
+    def test_all_failed_names_the_reason(self):
+        # 5 events leave at most 4 in training; fit_ols needs 6 KM steps
+        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [5, 15]))
+        cfg = FitConfig(nbreak=2, optimizer="hybrid", seed=0)
+        with pytest.raises(NoFeasibleModelError, match="positive-survival event steps") as err:
+            cv_loglik(d, cfg, nsim=3, seed=0)
+        assert isinstance(err.value, PwexpError)
+        assert "repetition 0" in str(err.value)
 
     def test_value_error_propagates(self, monkeypatch, small_train):
         def fail(data, config, threads=1):
