@@ -3,7 +3,8 @@ followup, and dist subcommands over CSV/JSON files.
 
 Every randomized subcommand requires an explicit --seed, outputs are
 reproducible from the manifest written next to each output file, and
---threads never changes numeric results.
+--threads (boot, cv, predict, followup: the number of worker processes)
+never changes numeric results. fit runs in one process.
 """
 from __future__ import annotations
 
@@ -266,7 +267,7 @@ def _cmd_km(args, argv):
 
 def _cmd_fit(args, argv):
     data = _read_data(args)
-    res = fit(data, _config_from(args), threads=args.threads)
+    res = fit(data, _config_from(args))
     print(json.dumps(res.to_dict()))
     _print_fit_summary(res)
     if args.out:
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a PWE model")
     _add_data_flags(p)
     _add_fitconfig_flags(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write FitResult JSON here")
     p.add_argument("--curve-out", default=None, help="write fitted survival curve CSV")
     p.set_defaults(runner=_cmd_fit)

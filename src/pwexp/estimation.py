@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from . import distribution as dist
-from ._parallel import parallel_map
 from .distribution import PweModel
 from .errors import EmptyPieceError, NoFeasibleModelError
 from .rng import derive_rng
@@ -251,9 +250,6 @@ class _SearchGrid:
         self.ev_sorted = np.sort(data.time[data.event == 1])
         self.n_total = len(data)
         self.n_events = len(self.ev_sorted)
-        # taken from the same running sum as exposure_to(), so that a
-        # candidate at the largest observed time yields exactly zero tail
-        # exposure instead of accumulation noise
         self.total_exposure = float(self.prefix[-1])
 
     def exposure_to(self, d):
@@ -268,7 +264,9 @@ class _SearchGrid:
 
         Returns (loglik, feasible); infeasible rows (an empty piece, zero
         exposure, or a tail with fewer than ``min_pt_tail`` events) get
-        ``-inf``.
+        ``-inf``. This is the one feasibility rule of every search: a row is
+        feasible exactly when :func:`mle_given_breakpoints` accepts it and
+        its tail holds ``min_pt_tail`` events.
         """
         B = np.atleast_2d(np.asarray(B, dtype=float))
         k = self.events_before(B)
@@ -279,31 +277,19 @@ class _SearchGrid:
         expos = np.concatenate(
             [a[:, :1], np.diff(a, axis=1), self.total_exposure - a[:, -1:]], axis=1
         )
+        # the tail has exposure only if someone is followed past the last
+        # break; with ties at the largest time the running sums would leave
+        # rounding noise there instead of the exact zero piece_tally finds
         feasible = (
             (counts >= 1).all(axis=1)
             & (expos > 0.0).all(axis=1)
+            & (B[:, -1] < self.all_sorted[-1])
             & (counts[:, -1] >= min_pt_tail)
         )
         safe_c = np.where(counts > 0, counts, 1)
         safe_e = np.where(expos > 0.0, expos, 1.0)
         ll = (counts * (np.log(safe_c / safe_e) - 1.0)).sum(axis=1)
         return np.where(feasible, ll, -np.inf), feasible
-
-
-def _profile_worker(payload):
-    grid_state, B, min_pt_tail = payload
-    g = _SearchGrid.__new__(_SearchGrid)
-    g.__dict__.update(grid_state)
-    ll, _ = g.profile(B, min_pt_tail)
-    return ll
-
-
-def _profile_all(grid: _SearchGrid, B: np.ndarray, min_pt_tail: int, threads: int) -> np.ndarray:
-    if threads <= 1 or len(B) < 4 * threads:
-        return grid.profile(B, min_pt_tail)[0]
-    chunks = np.array_split(B, threads)
-    payloads = [(grid.__dict__, c, min_pt_tail) for c in chunks if len(c)]
-    return np.concatenate(parallel_map(_profile_worker, payloads, threads))
 
 
 def _best_row(B: np.ndarray, ll: np.ndarray) -> int:
@@ -363,6 +349,25 @@ def _merge_fixed(combos: np.ndarray, fixed: Sequence[float]) -> np.ndarray:
     return np.sort(np.concatenate([combos, tiled], axis=1), axis=1)
 
 
+def _search(grid: _SearchGrid, rows: np.ndarray, config: "FitConfig", label: str, score=None):
+    """The change-point search shared by every optimizer.
+
+    Merges the fixed change-points into each row of free ones and marks the
+    feasible rows with one :meth:`_SearchGrid.profile`. Rows are scored by
+    their profile log-likelihood, or by ``score`` (higher is better) over
+    the feasible rows only. Returns (all rows, index of the best one,
+    feasible mask).
+    """
+    B = _merge_fixed(rows, config.fixed_breakpoints)
+    ll, feasible = grid.profile(B, config.min_pt_tail)
+    if not feasible.any():
+        raise NoFeasibleModelError(f"every {label} was infeasible")
+    if score is not None:
+        ll = np.full(len(B), -np.inf)
+        ll[feasible] = score(B[feasible])
+    return B, _best_row(B, ll), feasible
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -414,14 +419,15 @@ class FitConfig:
 # brute-force search
 
 
-def fit_bfs(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
+def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     """Brute-force change-point search over distinct event times.
 
     When the number of combinations exceeds ``max_set`` the candidate pool
     is first randomly thinned (bisection on the pool size), then at most
-    ``max_set`` random combinations are evaluated. Each combination's
-    hazards come from the closed-form MLE; infeasible combinations (empty
-    piece, excluded interval, thin tail) are skipped.
+    ``max_set`` random combinations go through the search shared with
+    :func:`fit_ols` and :func:`fit_hybrid`, which scores each by its profile
+    log-likelihood (the closed-form MLE) and skips infeasible combinations
+    (empty piece, thin tail); excluded event times are never candidates.
 
     Raises :class:`NoFeasibleModelError` when the sample has no event or no
     more distinct event times than change-points, or when no combination is
@@ -436,19 +442,13 @@ def fit_bfs(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
         raise NoFeasibleModelError("need more distinct event times than change-points")
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidate event times outside the excluded interval")
-    rng = derive_rng(config.seed, 101)
-    combos = _candidate_combos(cands, free, config.max_set, rng)
-    B = _merge_fixed(combos, config.fixed_breakpoints)
-    grid = _SearchGrid(data)
-    ll = _profile_all(grid, B, config.min_pt_tail, threads)
-    if not np.isfinite(ll).any():
-        raise NoFeasibleModelError("every change-point combination was infeasible")
-    i = _best_row(B, ll)
+    combos = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
+    B, i, feasible = _search(_SearchGrid(data), combos, config, "change-point combination")
     res = mle_given_breakpoints(B[i], data)
     res.optimizer = "bfs"
     res.diagnostics = {
         "n_combinations": int(len(B)),
-        "n_feasible": int(np.isfinite(ll).sum()),
+        "n_feasible": int(feasible.sum()),
         "n_candidates": int(len(cands)),
     }
     return res
@@ -603,104 +603,70 @@ def _run_segmented(x, y, psi, fixed_psi, max_iter, tol) -> SegmentedFit | None:
     )
 
 
-def _tail_ok(data: SurvSample, bps: np.ndarray, min_pt_tail: int) -> bool:
-    ev = data.time[data.event == 1]
-    return int((ev >= bps[-1]).sum()) >= min_pt_tail
+def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
+    """Change-points by segmented least squares on the log KM curve.
 
-
-def _ols_grid_fallback(
-    data: SurvSample, config: FitConfig, x, y, rng
-) -> tuple[np.ndarray, int]:
-    """Least-squares grid search over event-time candidates (used when the
-    iterative segmentation fails or lands on an infeasible model)."""
-    free = config.nbreak - len(config.fixed_breakpoints)
+    The segmented solution stands when the search's feasibility rule and
+    ``exclude_int`` accept it; otherwise the shared search picks, among
+    event-time candidates, the feasible row with the smallest sum of
+    squares. Returns (all change-points, the free ones, their standard
+    errors or None after the fallback, the segmented fit, warnings).
+    """
+    x, y = km_fit(data).log_points()
+    if len(x) < 2 * (config.nbreak + 1):
+        raise NoFeasibleModelError(
+            f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(x)}"
+        )
+    fixed = config.fixed_breakpoints
+    free = config.nbreak - len(fixed)
+    rng = derive_rng(config.seed, 202)
+    seg = fit_segmented_line(x, y, free, fixed, rng=rng)
+    if free == 0:
+        return np.asarray(fixed), [], [], seg, []
+    if seg.converged:
+        row = _merge_fixed(np.array([seg.psi]), fixed)
+        lo, hi = config.exclude_int or (np.inf, np.inf)
+        if grid.profile(row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
+            return row[0], list(seg.psi), list(seg.se), seg, []
+        reason = "segmented solution violated feasibility constraints"
+    else:
+        reason = "segmented regression did not converge"
     cands = _candidate_values(data, config)
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
-    combos = _candidate_combos(cands, free, config.max_set, rng)
-    B = _merge_fixed(combos, config.fixed_breakpoints)
-    grid = _SearchGrid(data)
-    _, feasible = grid.profile(B, config.min_pt_tail)
-    if not feasible.any():
-        raise NoFeasibleModelError("every OLS fallback combination was infeasible")
-    B = B[feasible]
-    sse = np.empty(len(B))
-    for i, row in enumerate(B):
-        D = _segmented_design(x, row, (), with_steps=False)
-        coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-        r = y - D @ coef
-        sse[i] = r @ r
-    i = _best_row(B, -sse)
-    return B[i], int(len(B))
+    rows = _candidate_combos(cands, free, config.max_set, rng)
+    neg_sse = lambda B: [-_sse_continuous(x, y, row, ()) for row in B]
+    B, i, _ = _search(grid, rows, config, "OLS fallback combination", score=neg_sse)
+    return B[i], [float(p) for p in rows[i]], None, seg, [f"{reason}; grid fallback used"]
 
 
-def fit_ols(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
+def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
     """Change-points by segmented least squares on the log KM curve.
 
     The log survival function of a PWE model is continuous piecewise linear
     in t, so the change-points are estimated by broken-line regression on
     (event time, log KM estimate) points; hazards are then re-estimated at
     the found change-points with the closed-form MLE (the OLS slopes are
-    discarded). Not a likelihood maximizer. Break standard errors are kept
-    in ``diagnostics`` for the hybrid search.
+    discarded). Not a likelihood maximizer. When the segmented solution is
+    infeasible or does not converge, the search shared with :func:`fit_bfs`
+    scores event-time candidates by their sum of squares instead (a "grid
+    fallback used" warning). Break standard errors are kept in
+    ``diagnostics`` for the hybrid search.
 
     Raises :class:`NoFeasibleModelError` when the sample has no event or
     fewer than ``2 * (nbreak + 1)`` positive-survival KM steps, or when the
     grid fallback finds no feasible combination.
     """
     _check_sample(data)
-    free = config.nbreak - len(config.fixed_breakpoints)
-    x, y = km_fit(data).log_points()
-    if len(x) < 2 * (config.nbreak + 1):
-        raise NoFeasibleModelError(
-            f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(x)}"
-        )
-    rng = derive_rng(config.seed, 202)
-    warnings: list[str] = []
-    if free == 0:
-        res = mle_given_breakpoints(config.fixed_breakpoints, data)
-        res.optimizer = "ols"
-        seg = fit_segmented_line(x, y, 0, config.fixed_breakpoints)
-        res.diagnostics = {"free_breakpoints": [], "breakpoint_se": [], "slope": seg.slope}
-        return res
-
-    seg = fit_segmented_line(x, y, free, config.fixed_breakpoints, rng=rng)
-    bps: np.ndarray | None = None
-    se: list[float] | None = None
-    psi: list[float] = []
-    if seg.converged:
-        psi = list(seg.psi)
-        cand = np.sort(np.concatenate([psi, config.fixed_breakpoints]))
-        ok = np.all(np.diff(cand) > 0.0) if len(cand) > 1 else True
-        if ok and config.exclude_int is not None:
-            lo, hi = config.exclude_int
-            ok = not any(lo <= p < hi for p in psi)
-        if ok:
-            ok = _tail_ok(data, cand, config.min_pt_tail)
-        if ok:
-            try:
-                mle_given_breakpoints(cand, data)
-                bps = cand
-                se = list(seg.se)
-            except EmptyPieceError:
-                ok = False
-        if not ok:
-            warnings.append("segmented solution violated feasibility constraints; grid fallback used")
-    else:
-        warnings.append("segmented regression did not converge; grid fallback used")
-    if bps is None:
-        bps, _ = _ols_grid_fallback(data, config, x, y, rng)
-        fixed_set = set(config.fixed_breakpoints)
-        psi = [b for b in bps if b not in fixed_set]
-        se = None
+    bps, psi, se, seg, warnings = _ols_search(data, config, _SearchGrid(data))
     res = mle_given_breakpoints(bps, data)
     res.optimizer = "ols"
     res.warnings = warnings
-    res.diagnostics = {
-        "free_breakpoints": [float(p) for p in psi],
-        "breakpoint_se": None if se is None else [float(s) for s in se],
-        "segmented_converged": seg.converged,
-    }
+    if config.nbreak == len(config.fixed_breakpoints):
+        res.diagnostics = {"free_breakpoints": [], "breakpoint_se": [], "slope": seg.slope}
+    else:
+        res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se,
+                           "segmented_converged": seg.converged}
     return res
 
 
@@ -725,15 +691,16 @@ def _snap_row(cands: np.ndarray, psi: Sequence[float]) -> np.ndarray | None:
     return np.asarray(used)
 
 
-def fit_hybrid(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
+def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     """OLS segmentation followed by an exhaustive search near its solution.
 
     Candidate sets are the event times inside the 95% CI of each OLS break
     (at least the 3 nearest event times when the CI is empty or the SE is
-    unavailable); their cross product, capped at ``max_set`` rows, is scored
-    by the closed-form MLE log-likelihood. The row snapping the OLS breaks
-    to the grid is always evaluated, so the result never scores below the
-    snapped OLS model.
+    unavailable); their cross product, capped at ``max_set`` rows, goes
+    through the search shared with :func:`fit_bfs` and is scored by the
+    profile log-likelihood (the closed-form MLE). The row snapping the OLS
+    breaks to the grid is always evaluated, so the result never scores
+    below the snapped OLS model.
 
     Raises :class:`NoFeasibleModelError` when the OLS step (see
     :func:`fit_ols`) or the candidate search finds no feasible model;
@@ -743,9 +710,8 @@ def fit_hybrid(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResu
     free = config.nbreak - len(config.fixed_breakpoints)
     if free < 1:
         raise ValueError("fit_hybrid requires at least one unknown change-point")
-    ols_res = fit_ols(data, config)
-    psi = list(ols_res.diagnostics.get("free_breakpoints", []))
-    se = ols_res.diagnostics.get("breakpoint_se")
+    grid = _SearchGrid(data)
+    _, psi, se, _, warnings = _ols_search(data, config, grid)
     cands = _candidate_values(data, config)
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
@@ -780,15 +746,10 @@ def fit_hybrid(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResu
     if len(rows) == 0:
         raise NoFeasibleModelError("hybrid candidate set is empty")
 
-    B = _merge_fixed(rows, config.fixed_breakpoints)
-    grid = _SearchGrid(data)
-    ll = _profile_all(grid, B, config.min_pt_tail, threads)
-    if not np.isfinite(ll).any():
-        raise NoFeasibleModelError("every hybrid candidate row was infeasible")
-    i = _best_row(B, ll)
+    B, i, _ = _search(grid, rows, config, "hybrid candidate row")
     res = mle_given_breakpoints(B[i], data)
     res.optimizer = "hybrid"
-    res.warnings = list(ols_res.warnings)
+    res.warnings = warnings
     res.diagnostics = {
         "n_rows": int(len(B)),
         "ols_breakpoints": psi,
@@ -802,14 +763,16 @@ def fit_hybrid(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResu
 # front door
 
 
-def fit(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
+def fit(data: SurvSample, config: FitConfig) -> FitResult:
     """Fit a PWE model per the configuration.
 
     Dispatch: no change-points -> exponential MLE; all change-points fixed ->
-    validation then closed-form MLE; otherwise the configured search with
-    any fixed change-points pinned. Exclusion-interval and tail constraints
-    apply to every searched candidate. A sample too thin for the model
-    raises :class:`NoFeasibleModelError`.
+    validation then closed-form MLE; otherwise the configured search
+    (:func:`fit_bfs`, :func:`fit_ols` or :func:`fit_hybrid`, which share one
+    candidates -> profile -> best row pipeline) with any fixed change-points
+    pinned. Exclusion-interval and tail constraints apply to every searched
+    candidate. A sample too thin for the model raises
+    :class:`NoFeasibleModelError`.
     """
     _check_sample(data)
     warnings: list[str] = []
@@ -827,10 +790,10 @@ def fit(data: SurvSample, config: FitConfig, threads: int = 1) -> FitResult:
     elif free == 0:
         res = mle_given_breakpoints(cfg.fixed_breakpoints, data)
     elif cfg.optimizer == "bfs":
-        res = fit_bfs(data, cfg, threads=threads)
+        res = fit_bfs(data, cfg)
     elif cfg.optimizer == "ols":
-        res = fit_ols(data, cfg, threads=threads)
+        res = fit_ols(data, cfg)
     else:
-        res = fit_hybrid(data, cfg, threads=threads)
+        res = fit_hybrid(data, cfg)
     res.warnings = warnings + res.warnings
     return res

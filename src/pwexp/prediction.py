@@ -273,6 +273,22 @@ def _percentile_rows(curves: np.ndarray, point: np.ndarray, grid, times, level):
     return rows
 
 
+def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.ndarray:
+    """The curves an interval of ``kind`` summarises, after checking ``level``."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError("level must be in (0, 1]")
+    if kind == "confidence":
+        if len(ens.expected) < 2:
+            raise PwexpError(
+                "confidence intervals need a bootstrap ensemble; fit with boot_fit "
+                "or request kind='predictive'"
+            )
+        return ens.expected
+    if kind == "predictive":
+        return ens.predictive
+    raise ValueError("kind must be 'confidence' or 'predictive'")
+
+
 def event_interval(
     ens: PredictionEnsemble, times, level: float = 0.05, kind: str = "confidence"
 ) -> np.ndarray:
@@ -283,19 +299,9 @@ def event_interval(
     required); ``predictive`` takes percentiles of the pooled
     single-generation draws and is never narrower.
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must be in (0, 1]")
+    curves = _interval_curves(ens, level, kind)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if kind == "confidence":
-        if len(ens.expected) < 2:
-            raise PwexpError(
-                "confidence intervals need a bootstrap ensemble; fit with boot_fit "
-                "or request kind='predictive'"
-            )
-        return _percentile_rows(ens.expected, ens.point, ens.grid, times, level)
-    if kind == "predictive":
-        return _percentile_rows(ens.predictive, ens.point, ens.grid, times, level)
-    raise ValueError("kind must be 'confidence' or 'predictive'")
+    return _percentile_rows(curves, ens.point, ens.grid, times, level)
 
 
 def _crossing_times(curves: np.ndarray, grid: np.ndarray, target: float) -> np.ndarray:
@@ -328,20 +334,8 @@ def timeline_for_events(
     the target within the horizon. Targets at or below the observed count
     return the analysis time.
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must be in (0, 1]")
+    curves = _interval_curves(ens, level, kind)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if kind == "confidence":
-        if len(ens.expected) < 2:
-            raise PwexpError(
-                "confidence intervals need a bootstrap ensemble; fit with boot_fit "
-                "or request kind='predictive'"
-            )
-        curves = ens.expected
-    elif kind == "predictive":
-        curves = ens.predictive
-    else:
-        raise ValueError("kind must be 'confidence' or 'predictive'")
     lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
     rows = np.empty((len(targets), 4))
     for i, target in enumerate(targets):

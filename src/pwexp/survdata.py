@@ -109,17 +109,9 @@ def km_fit(data: SurvSample) -> KmCurve:
     """
     if len(data) == 0:
         raise ValueError("cannot fit a KM curve to an empty sample")
-    ev_times = np.unique(data.time[data.event == 1])
-    sorted_all = np.sort(data.time)
-    surv = np.empty(ev_times.shape)
-    at_risk = np.empty(ev_times.shape, dtype=np.int64)
-    d = np.empty(ev_times.shape, dtype=np.int64)
-    s = 1.0
-    for k, t in enumerate(ev_times):
-        n_risk = len(sorted_all) - np.searchsorted(sorted_all, t, side="left")
-        n_ev = int(np.sum((data.time == t) & (data.event == 1)))
-        s *= 1.0 - n_ev / n_risk
-        surv[k], at_risk[k], d[k] = s, n_risk, n_ev
+    ev_times, d = np.unique(data.time[data.event == 1], return_counts=True)
+    at_risk = len(data) - np.searchsorted(np.sort(data.time), ev_times, side="left")
+    surv = np.cumprod(1.0 - d / at_risk)
     return KmCurve(time=ev_times, survival=surv, at_risk=at_risk, n_event=d)
 
 

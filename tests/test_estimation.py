@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 import pwexp as pw
 from pwexp.distribution import PweModel
 from pwexp.errors import EmptyPieceError, NoFeasibleModelError
 from pwexp.estimation import (
+    _SearchGrid,
     FitConfig,
     FitResult,
     fit,
@@ -244,6 +246,14 @@ class TestFitBfs:
         with pytest.raises(NoFeasibleModelError):
             fit_bfs(d, FitConfig(nbreak=2, optimizer="bfs", seed=0))
 
+    def test_break_at_tied_largest_time_infeasible(self):
+        # five events tied at the largest time leave no exposure after a
+        # break there; rounding in the running sums must not make it feasible
+        d = SurvSample([0.05, 0.02, 0.04, 0.03] + [0.7] * 5, np.ones(9, dtype=int))
+        res = fit_bfs(d, FitConfig(nbreak=1, optimizer="bfs", min_pt_tail=5, seed=0))
+        assert res.model.breakpoints == (0.05,)
+        assert res.diagnostics["n_feasible"] == 3  # breaks at 0.03, 0.04 and 0.05
+
     def test_subsampling_respects_max_set(self):
         rng = np.random.default_rng(23)
         times = rng.exponential(8.0, size=300)
@@ -304,6 +314,24 @@ class TestFitOls:
         d = SurvSample([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
         with pytest.raises(NoFeasibleModelError):
             fit_ols(d, FitConfig(nbreak=2, optimizer="ols", seed=0))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("constraint", [{"min_pt_tail": 150}, {"exclude_int": (12.0, np.inf)}])
+    def test_grid_fallback_honours_constraint(self, scenario_train, seed, constraint):
+        # the segmented solution breaks the constraint, so the least-squares
+        # grid search over event times picks the change-points
+        cfg = FitConfig(nbreak=2, optimizer="ols", seed=seed, **constraint)
+        res = fit_ols(scenario_train, cfg)
+        assert any("grid fallback used" in w for w in res.warnings)
+        assert res.diagnostics["breakpoint_se"] is None
+        bps = res.model.breakpoints
+        ev = scenario_train.time[scenario_train.event == 1]
+        assert len(bps) == 2 and set(bps) <= set(ev)
+        assert (ev >= bps[-1]).sum() >= cfg.min_pt_tail
+        if cfg.exclude_int is not None:
+            lo, hi = cfg.exclude_int
+            assert not any(lo <= b < hi for b in bps)
+        assert res.model.rates == mle_given_breakpoints(bps, scenario_train).model.rates
 
 
 class TestFitHybrid:
@@ -432,13 +460,6 @@ class TestSearchProperties:
         b2 = fit_bfs(scaled, cfg)
         assert b2.model.breakpoints[0] == pytest.approx(b1.model.breakpoints[0] * c, rel=1e-12)
 
-    def test_threads_do_not_change_result(self, scenario_train):
-        cfg = FitConfig(nbreak=2, optimizer="hybrid", seed=6)
-        a = fit(scenario_train, cfg, threads=1)
-        b = fit(scenario_train, cfg, threads=2)
-        assert a.model == b.model
-        assert a.loglik == b.loglik
-
     def test_json_roundtrip(self, tmp_path, scenario_train):
         res = fit(scenario_train, FitConfig(nbreak=2, optimizer="hybrid", seed=7))
         path = tmp_path / "fit.json"
@@ -447,3 +468,61 @@ class TestSearchProperties:
         assert back.model == res.model
         assert back.loglik == res.loglik
         assert back.n_obs == res.n_obs
+
+
+@st.composite
+def samples_and_rows(draw):
+    """A censored sample, possibly with heavy ties, and strictly increasing
+    rows of change-points: at event times, between them, or past the end."""
+    tied = draw(st.booleans())
+    time = st.sampled_from([0.7, 1.0, 2.9, 3.0, 4.7, 6.1]) if tied else st.floats(0.01, 30.0)
+    obs = draw(st.lists(st.tuples(time, st.booleans()), min_size=2, max_size=40))
+    times = np.array([t for t, _ in obs])
+    event = np.array([e for _, e in obs], dtype=int)
+    event[0] = 1
+    data = SurvSample(times, event)
+    pool = st.sampled_from(sorted(set(times[event == 1]))) | st.floats(0.01, 35.0)
+    rows = draw(st.lists(st.lists(pool, min_size=1, max_size=3, unique=True), min_size=1, max_size=8))
+    width = len(rows[0])
+    B = np.array([sorted(r) for r in rows if len(r) == width], dtype=float)
+    return data, B, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples_and_rows())
+def test_profile_feasible_exactly_when_mle_succeeds(case):
+    data, B, min_pt_tail = case
+    ll, feasible = _SearchGrid(data).profile(B, min_pt_tail)
+    ev = data.time[data.event == 1]
+    for row, row_ll, ok in zip(B, ll, feasible):
+        try:
+            res = mle_given_breakpoints(row, data)
+        except EmptyPieceError:
+            res = None
+        assert ok == (res is not None and (ev >= row[-1]).sum() >= min_pt_tail)
+        if ok:
+            assert row_ll == pytest.approx(res.loglik, rel=1e-9)
+        else:
+            assert row_ll == -np.inf
+        tally = piece_tally(row, data)
+        assert tally.n_events.sum() == data.n_events
+        assert tally.exposure.sum() == pytest.approx(data.time.sum(), rel=1e-12)
+
+
+class TestRunRecordKeys:
+    """Diagnostics keys and warning texts that the layer counters of
+    ``bench/run.py`` read from fit results."""
+
+    def test_bfs_counts(self, scenario_train):
+        diag = fit(scenario_train, FitConfig(nbreak=2, optimizer="bfs", seed=0)).diagnostics
+        assert {"n_combinations", "n_feasible", "n_candidates"} <= diag.keys()
+        assert 0 < diag["n_feasible"] <= diag["n_combinations"]
+
+    def test_hybrid_rows(self, scenario_train):
+        diag = fit(scenario_train, FitConfig(nbreak=2, optimizer="hybrid", seed=0)).diagnostics
+        assert diag["n_rows"] >= 1
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_fallback_warning_text(self, scenario_train, optimizer):
+        res = fit(scenario_train, FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=150, seed=1))
+        assert any("grid fallback" in w for w in res.warnings)

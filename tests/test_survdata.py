@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwexp.survdata import SurvSample, cut_data, km_fit, read_survival_csv
 
 
 def ecdf_survival(times: np.ndarray, t: float) -> float:
     return float(np.mean(times > t))
+
+
+def km_oracle(time: np.ndarray, event: np.ndarray):
+    """Product-limit estimate, one distinct event time at a time."""
+    steps = []
+    s = 1.0
+    for t in sorted(set(time[event == 1].tolist())):
+        n_risk = int((time >= t).sum())
+        n_ev = int(((time == t) & (event == 1)).sum())
+        s *= 1.0 - n_ev / n_risk
+        steps.append((t, s, n_risk, n_ev))
+    return steps
 
 
 class TestSurvSample:
@@ -69,6 +82,20 @@ class TestKaplanMeier:
         curve = km_fit(SurvSample(times, np.ones(200, dtype=int)))
         for t, s in zip(curve.time, curve.survival):
             assert s == pytest.approx(ecdf_survival(times, t), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.lists(st.tuples(st.floats(0.0, 20.0), st.sampled_from([0.5, 1.0, 2.0]),
+                                             st.booleans()), min_size=1, max_size=60))
+    def test_matches_product_limit_oracle(self, tied, obs):
+        # tied draws put several events, and censorings, at the same time
+        time = np.array([tied_time if tied else free_time for free_time, tied_time, _ in obs])
+        event = np.array([e for *_, e in obs], dtype=int)
+        curve = km_fit(SurvSample(time, event))
+        steps = km_oracle(time, event)
+        assert curve.time.tolist() == [t for t, *_ in steps]
+        assert curve.survival.tolist() == [s for _, s, *_ in steps]
+        assert curve.at_risk.tolist() == [n for *_, n, _ in steps]
+        assert curve.n_event.tolist() == [d for *_, d in steps]
 
     def test_log_points_drop_zero_survival(self):
         curve = km_fit(SurvSample([1.0, 2.0, 3.0], [1, 0, 1]))
