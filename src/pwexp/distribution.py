@@ -201,18 +201,20 @@ def conditional_cdf(m: PweModel, t, given: float):
     return _finish(out, scalar)
 
 
-def conditional_quantile(m: PweModel, p, given: float):
+def conditional_quantile(m: PweModel, p, given):
     """Quantile of T given T > ``given`` (closed form, >= ``given``).
 
     Inverts S(t)/S(given) = 1 - p through the cumulative hazard, which
     reproduces the piecewise case table of the conditional quantile exactly.
-    Same probability domain convention as :func:`quantile`.
+    Same probability domain convention as :func:`quantile`. ``given`` may be
+    a scalar or an array that broadcasts against ``p``.
     """
     pv, scalar = _prepare(p)
     _check_prob(pv)
-    g = float(given)
-    if g < 0.0:
+    g = np.asarray(given, dtype=float)
+    if np.any(g < 0.0):
         raise ValueError("conditioning time must be nonnegative")
+    scalar = scalar and g.ndim == 0
     with np.errstate(divide="ignore"):
         target = cumulative_hazard(m, g) - np.log1p(-pv)
     out = np.maximum(_invert_cumhaz(m, target), g)
@@ -220,8 +222,12 @@ def conditional_quantile(m: PweModel, p, given: float):
     return _finish(out, scalar)
 
 
-def conditional_sample(m: PweModel, n: int, given: float, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of T given T > ``given``; every draw exceeds ``given``."""
+def conditional_sample(m: PweModel, n: int, given, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of T given T > ``given``; every draw exceeds ``given``.
+
+    ``given`` is one conditioning time for all draws or an array of ``n``,
+    one per draw.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     u = rng.random(int(n))

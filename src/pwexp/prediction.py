@@ -171,26 +171,44 @@ def _param_sets(model) -> tuple[list[PweModel], PweModel | None]:
     raise TypeError("model must be a PweModel, FitResult, or BootFit")
 
 
+_BLOCK = 8192  # draws per sampler call; larger blocks raise peak memory
+
+
 def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
-    """(expected, predictive) curves for one parameter set."""
-    counts = np.zeros((n_each, len(grid)), dtype=np.int32)
+    """(expected, predictive) curves for one parameter set.
 
-    def add_events(ecal: np.ndarray, observed: np.ndarray):
-        gi = np.searchsorted(grid, ecal[observed], side="left")
-        rows = np.flatnonzero(observed)
-        inside = gi < len(grid)
-        np.add.at(counts, (rows[inside], gi[inside]), 1)
-
-    for u, r in zip(snapshot.enroll_times, snapshot.elapsed):
-        t = conditional_sample(event_m, n_each, r, rng)
-        c = conditional_sample(censor_m, n_each, r, rng) if censor_m is not None else np.full(n_each, np.inf)
-        add_events(u + t, t < c)
-    if snapshot.accrual is not None and snapshot.accrual.n_remaining > 0:
-        for u in snapshot.accrual.draw_times(snapshot.analysis_time, rng):
-            t = sample(event_m, n_each, rng)
-            c = sample(censor_m, n_each, rng) if censor_m is not None else np.full(n_each, np.inf)
-            add_events(u + t, t < c)
-    ped = counts.cumsum(axis=1) + snapshot.n_events
+    Subjects are drawn in blocks of about ``_BLOCK`` draws: one sampler
+    call per block and model, conditional on elapsed follow-up for the
+    at-risk subjects and unconditional for future enrollees. Event times
+    come from one child stream of ``rng`` and censoring times from another,
+    each consumed subject by subject, so the curves do not depend on the
+    block size; ``rng`` itself draws the enrollment times.
+    """
+    event_rng, censor_rng = rng.spawn(2)
+    width = len(grid)
+    counts = np.zeros(n_each * width, dtype=np.int64)
+    per_block = max(1, _BLOCK // n_each)
+    cohorts = [(snapshot.enroll_times, snapshot.elapsed)]
+    if snapshot.accrual is not None:
+        cohorts.append((snapshot.accrual.draw_times(snapshot.analysis_time, rng), None))
+    for enroll, elapsed in cohorts:
+        for lo in range(0, len(enroll), per_block):
+            u = np.repeat(enroll[lo:lo + per_block], n_each)
+            if elapsed is None:
+                t = sample(event_m, len(u), event_rng)
+                c = sample(censor_m, len(u), censor_rng) if censor_m is not None else None
+            else:
+                r = np.repeat(elapsed[lo:lo + per_block], n_each)
+                t = conditional_sample(event_m, len(u), r, event_rng)
+                c = conditional_sample(censor_m, len(u), r, censor_rng) if censor_m is not None else None
+            ecal = u + t
+            keep = ecal <= grid[-1]
+            if c is not None:
+                keep &= t < c
+            draw = np.flatnonzero(keep) % n_each
+            bins = np.searchsorted(grid, ecal[keep], side="left")
+            counts += np.bincount(draw * width + bins, minlength=len(counts))
+    ped = counts.reshape(n_each, width).cumsum(axis=1) + snapshot.n_events
     return ped.mean(axis=0), ped
 
 
@@ -217,8 +235,12 @@ def predict_events(
     replicates produce one expected curve per parameter set, which is what
     the percentile intervals consume. Each at-risk subject contributes
     ``n_each`` conditional event/censor draws, each future subject an
-    enrollment draw plus ``n_each`` unconditional draws. The default horizon
-    is the end of accrual plus the longest elapsed follow-up.
+    enrollment draw plus ``n_each`` unconditional draws. The draws are made
+    for blocks of subjects at once, with event and censoring times taken
+    from separate child streams of each parameter set's stream, so the
+    result depends on ``seed`` alone: not on the block size, nor on
+    ``threads``. The default horizon is the end of accrual plus the longest
+    elapsed follow-up.
     """
     if n_each < 1:
         raise ValueError("n_each must be >= 1")
@@ -264,13 +286,9 @@ def predict_events(
 
 
 def _percentile_rows(curves: np.ndarray, point: np.ndarray, grid, times, level):
-    lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
-    rows = np.empty((len(times), 4))
-    for i, t in enumerate(times):
-        vals = np.array([np.interp(t, grid, c) for c in curves])
-        rows[i] = (t, np.interp(t, grid, point),
-                   np.quantile(vals, lo_q), np.quantile(vals, hi_q))
-    return rows
+    vals = np.array([np.interp(times, grid, c) for c in curves])
+    lo, hi = np.quantile(vals, [level / 2.0, 1.0 - level / 2.0], axis=0)
+    return np.column_stack([times, np.interp(times, grid, point), lo, hi])
 
 
 def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.ndarray:

@@ -180,8 +180,12 @@ def cv_loglik(
     Each repetition holds out ``test_fraction`` of the records (stratified
     by event status), fits on the remainder, and scores the held-out
     records. Split streams are derived from (seed, repetition) alone, so
-    two models compared under the same seed see identical splits. A training
-    fit that raises :class:`EmptyPieceError` or :class:`NoFeasibleModelError`
+    two models compared under the same seed see identical splits. For
+    ``optimizer`` ``"ols"`` or ``"hybrid"``, a sample with fewer than
+    ``2 * (nbreak + 1)`` distinct event times (``nbreak`` counting searched
+    change-points only) raises :class:`NoFeasibleModelError` before any fit:
+    no training split could have enough Kaplan-Meier steps. A training fit
+    that raises :class:`EmptyPieceError` or :class:`NoFeasibleModelError`
     is redrawn up to five times, then recorded as a failure; any other
     exception propagates. When every repetition fails,
     :class:`NoFeasibleModelError` names the first failure's last reason.
@@ -192,6 +196,17 @@ def cv_loglik(
         raise ValueError("test_fraction must be in (0, 1)")
     if data.n_events < config.nbreak + 2:
         raise ValueError("too few events to retain nbreak + 1 in every training split")
+    free = config.nbreak - len(config.fixed_breakpoints)
+    if config.optimizer in ("ols", "hybrid") and free > 0:
+        # the OLS search needs 2 * (nbreak + 1) positive-survival KM steps, a
+        # training split has at most one per distinct event time, and fit()
+        # may clean away fixed change-points, so only searched ones count
+        n_times = len(np.unique(data.time[data.event == 1]))
+        if n_times < 2 * (free + 1):
+            raise NoFeasibleModelError(
+                f"optimizer {config.optimizer!r} needs at least {2 * (free + 1)} distinct "
+                f"event times for {free} searched change-points, got {n_times}"
+            )
     out = parallel_map(
         _cv_worker, [(data, config, seed, i, test_fraction) for i in range(nsim)], threads
     )

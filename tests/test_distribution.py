@@ -221,6 +221,31 @@ class TestConditional:
         stat = stats.kstest(x, lambda t: conditional_cdf(M3, t, r)).statistic
         assert stat < KS_CRIT_1PCT / np.sqrt(len(x))
 
+    def test_quantile_array_given_matches_scalar_calls(self):
+        given = np.array([0.0, 2.0, 5.0, 5.0, 9.3, 14.0, 20.0])
+        p = np.array([0.0, 0.3, 0.5, 1e-12, 0.9, 1.0, 0.37])
+        got = conditional_quantile(M3, p, given)
+        assert np.array_equal(got, [conditional_quantile(M3, q, g) for q, g in zip(p, given)])
+        # a scalar p broadcasts against the conditioning times
+        got = conditional_quantile(M3, 0.25, given)
+        assert np.array_equal(got, [conditional_quantile(M3, 0.25, g) for g in given])
+
+    def test_negative_given_entry_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            conditional_quantile(M3, [0.1, 0.2], np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            conditional_sample(M3, 2, np.array([1.0, -0.5]), np.random.default_rng(0))
+
+    def test_sample_array_given_matches_scalar_calls(self):
+        # one uniform per draw, consumed in order, so per-draw conditioning
+        # gives the draws of the scalar calls on the same stream
+        given = np.repeat([0.0, 6.0, 15.0], 4)
+        rng = np.random.default_rng(8)
+        want = np.concatenate([conditional_sample(M3, 4, g, rng) for g in (0.0, 6.0, 15.0)])
+        got = conditional_sample(M3, len(given), given, np.random.default_rng(8))
+        assert np.array_equal(got, want)
+        assert np.all(got > given)
+
 
 class TestExponentialSpecialCase:
     """The r = 0 model must match the textbook exponential exactly."""

@@ -163,13 +163,38 @@ class TestCvLoglik:
             cv_loglik(d, FitConfig(nbreak=2, optimizer="hybrid", seed=0), nsim=2, seed=0)
 
     def test_all_failed_names_the_reason(self):
-        # 5 events leave at most 4 in training; fit_ols needs 6 KM steps
-        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [5, 15]))
+        # 6 distinct event times pass the up-front guard, but a split holds
+        # out one event and fit_ols needs 6 KM steps
+        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [6, 14]))
         cfg = FitConfig(nbreak=2, optimizer="hybrid", seed=0)
         with pytest.raises(NoFeasibleModelError, match="positive-survival event steps") as err:
             cv_loglik(d, cfg, nsim=3, seed=0)
         assert isinstance(err.value, PwexpError)
         assert "repetition 0" in str(err.value)
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_too_few_event_times_rejected_before_any_fit(self, monkeypatch, optimizer):
+        calls = []
+        monkeypatch.setattr("pwexp.resampling.fit", lambda *a: calls.append(a))
+        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [5, 15]))
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, seed=0)
+        with pytest.raises(NoFeasibleModelError, match="needs at least 6 distinct event times"):
+            cv_loglik(d, cfg, nsim=3, seed=0)
+        assert calls == []
+
+    def test_event_time_guard_spares_bfs(self):
+        # the same sample, which bfs can fit: the guard is for the OLS search
+        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [5, 15]))
+        cv = cv_loglik(d, FitConfig(nbreak=2, optimizer="bfs", min_pt_tail=1, seed=0), nsim=2, seed=0)
+        assert len(cv.values) == 2
+
+    def test_event_time_guard_counts_searched_breakpoints_only(self):
+        # 4 event times are enough for the one searched change-point, so the
+        # fits run (and fail, since fit() keeps the fixed one here)
+        d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [4, 16]))
+        cfg = FitConfig(nbreak=2, fixed_breakpoints=(2.5,), optimizer="hybrid", seed=0)
+        with pytest.raises(NoFeasibleModelError, match="every cross-validation repetition failed"):
+            cv_loglik(d, cfg, nsim=2, seed=0)
 
     def test_value_error_propagates(self, monkeypatch, small_train):
         def fail(data, config, threads=1):
