@@ -460,7 +460,11 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
 
 @dataclass
 class SegmentedFit:
-    """Result of the iterative piecewise-linear (broken-line) fit."""
+    """Result of the iterative piecewise-linear (broken-line) fit.
+
+    ``n_iter`` counts the iterations of the winning start and
+    ``n_starts_converged`` the starts that converged (0 without free breaks).
+    """
 
     psi: tuple[float, ...]
     se: tuple[float, ...]
@@ -468,15 +472,102 @@ class SegmentedFit:
     sse: float
     converged: bool
     n_iter: int
+    n_starts_converged: int = 0
 
 
-def _segmented_design(x, fixed_psi, psi, with_steps=True):
+def _segmented_design(x, ramps, steps=()):
+    """The explicit design [x, (x - a)_+ for a in ramps, 1(x > a) for a in steps]."""
     cols = [x]
-    cols += [np.maximum(x - f, 0.0) for f in fixed_psi]
-    cols += [np.maximum(x - p, 0.0) for p in psi]
-    if with_steps:
-        cols += [(x > p).astype(float) for p in psi]
+    cols += [np.maximum(x - a, 0.0) for a in ramps]
+    cols += [(x > a).astype(float) for a in steps]
     return np.column_stack(cols)
+
+
+# A system whose unit-diagonal Gram matrix is conditioned worse than this
+# (the design worse than 1e6) is solved by lstsq on the explicit design:
+# the normal equations would lose all but a few digits, and lstsq's rank
+# decisions (minimum norm on exact collinearity) are kept.
+_MAX_GRAM_COND = 1e12
+
+
+class _LineSums:
+    """Batched least squares of y on [x, ramps (x - a)_+, steps 1(x > a)].
+
+    Every such column vanishes up to its threshold and is linear past it,
+    so each Gram entry and right-hand side is a sum over the points past
+    the larger of two thresholds. Written around the first such point x_j,
+    it combines suffix sums of 1, y', (x - x_j), (x - x_j)^2 and
+    (x - x_j) y', built once over the sorted points by recurrences of
+    non-negative terms; with x >= 0 every Gram entry is then a sum of
+    non-negative terms too, free of cancellation. The response is shifted
+    to y' = y - b0*x, b0 being the slope through the origin: x is a column
+    of every design, so the shift moves only the slope, by b0, and it cuts
+    the cancellation in SSE = y'y' - coef . D'y'. The normal equations
+    still square the design's condition number, so reported values come
+    from an explicit fit.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        m = len(x)
+        self.x, self.y = x, y
+        self.b0 = float(x @ y) / float(x @ x)
+        yp = y - self.b0 * x
+        self.yy = float(yp @ yp)
+
+        def suffix(v):
+            return np.append(np.cumsum(v[::-1])[::-1], np.zeros(m + 1 - len(v)))
+
+        # sums over the points from x[j] on: s0 counts them, t1 sums
+        # x - x[j], t2 (x - x[j])^2, sy y' and t1y (x - x[j]) y'; m is empty
+        gap = np.diff(x)
+        beyond = np.arange(m - 1, 0, -1.0)  # points past x[j + 1]
+        s0 = np.arange(m, -1, -1.0)
+        t1 = suffix(beyond * gap)
+        t2 = suffix(gap * (2.0 * t1[1:m] + beyond * gap))
+        self.sy = suffix(yp)
+        self.t1y = suffix(gap * self.sy[1:m])
+        self.table = np.stack([np.append(x, x[-1]), t2, t1, s0])
+
+    def solve(self, ramps: np.ndarray, steps: np.ndarray | None = None):
+        """(coef, sse) for one design per row of ``ramps`` (B, R) and
+        ``steps`` (B, S) thresholds; coef columns are [x, ramps, steps].
+
+        A column with no point past its threshold gets a zero coefficient,
+        the minimum-norm solution that ``lstsq`` gives; a system conditioned
+        worse than ``_MAX_GRAM_COND`` is solved by ``lstsq`` itself.
+        """
+        n, n_ramp = ramps.shape
+        if steps is None:
+            steps = np.empty((n, 0))
+        offset = np.concatenate([np.zeros((n, 1)), ramps, steps], axis=1)
+        r = np.zeros(offset.shape[1])
+        r[: 1 + n_ramp] = 1.0
+        j = np.searchsorted(self.x, offset, side="right")
+        j[:, 0] = 0
+        jj = np.maximum(j[:, :, None], j[:, None, :])
+        xj, t2, t1, s0 = self.table[:, jj]
+        # past x_j a column is r*(x - x_j) + kappa: x and ramps have r = 1
+        # and kappa = x_j - offset >= 0, steps r = 0 and kappa = 1
+        kap = r[:, None] * (xj - offset[:, :, None]) + (1.0 - r[:, None])
+        kap_t = kap.transpose(0, 2, 1)
+        gram = (r[:, None] * r) * t2 + (r[:, None] * kap_t + r * kap) * t1 + (kap * kap_t) * s0
+        kap_j = np.diagonal(kap, axis1=1, axis2=2)
+        rhs = r * self.t1y[j] + kap_j * self.sy[j]
+        # unit-diagonal scaling; a column with no point past its threshold
+        # becomes a unit row with a zero right-hand side, so a zero coefficient
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        live = diag > 0.0
+        s = np.where(live, 1.0 / np.sqrt(np.where(live, diag, 1.0)), 0.0)
+        scaled = gram * s[:, :, None] * s[:, None, :] + np.eye(len(r)) * ~live[:, None, :]
+        eig = np.linalg.eigvalsh(scaled)
+        good = eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
+        scaled[~good] = np.eye(len(r))  # solved below by lstsq instead
+        coef = s * np.linalg.solve(scaled, (s * rhs)[:, :, None])[:, :, 0]
+        sse = self.yy - np.einsum("bi,bi->b", coef, rhs)
+        coef[:, 0] += self.b0
+        for i in np.flatnonzero(~good):
+            coef[i], sse[i] = _lstsq_fit(self.y, _segmented_design(self.x, ramps[i], steps[i]))
+        return coef, sse
 
 
 def fit_segmented_line(
@@ -498,109 +589,140 @@ def fit_segmented_line(
     of the fitted breaks come from the step-coefficient delta method.
 
     The first start places the breaks at equally spaced quantiles of x; the
-    remaining starts are random. The best converged start by residual sum
-    of squares wins. ``converged=False`` means no start converged.
+    remaining starts are random. All starts iterate together; the best
+    converged start by residual sum of squares wins (the earliest on a tie)
+    and its standard errors, slope and sum of squares come from an explicit
+    least-squares fit. ``converged=False`` means no start converged.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     order = np.argsort(x)
     x, y = x[order], y[order]
     if npsi == 0:
-        d = _segmented_design(x, fixed_psi, (), with_steps=False)
-        coef, *_ = np.linalg.lstsq(d, y, rcond=None)
-        resid = y - d @ coef
-        return SegmentedFit((), (), float(coef[0]), float(resid @ resid), True, 0)
+        return SegmentedFit((), *_explicit_fit(x, y, fixed_psi, ()), True, 0)
     if rng is None:
         rng = np.random.default_rng(0)
     span = x[-1] - x[0]
     starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
     for _ in range(n_restarts - 1):
         starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
-    best: SegmentedFit | None = None
-    for start in starts:
-        out = _run_segmented(x, y, np.sort(start), fixed_psi, max_iter, tol_frac * span)
-        if out is None:
-            continue
-        if best is None or out.sse < best.sse:
-            best = out
-    if best is None:
+    psi, sse, converged, n_iter = _run_segmented(
+        _LineSums(x, y), np.sort(starts, axis=1), fixed_psi, max_iter, tol_frac * span
+    )
+    if not converged.any():
         return SegmentedFit((), (), 0.0, np.inf, False, max_iter)
-    return best
+    best = int(np.argmin(np.where(converged, sse, np.inf)))
+    se, slope, best_sse = _explicit_fit(x, y, fixed_psi, psi[best])
+    return SegmentedFit(
+        psi=tuple(float(p) for p in psi[best]),
+        se=se,
+        slope=slope,
+        sse=best_sse,
+        converged=True,
+        n_iter=int(n_iter[best]),
+        n_starts_converged=int(converged.sum()),
+    )
 
 
-def _sse_continuous(x, y, fixed_psi, psi) -> float:
-    D = _segmented_design(x, fixed_psi, psi, with_steps=False)
+def _lstsq_fit(y, D):
     coef, *_ = np.linalg.lstsq(D, y, rcond=None)
     r = y - D @ coef
-    return float(r @ r)
+    return coef, float(r @ r)
 
 
-def _run_segmented(x, y, psi, fixed_psi, max_iter, tol) -> SegmentedFit | None:
-    npsi = len(psi)
-    nfix = len(fixed_psi)
-    fixed_arr = np.asarray(fixed_psi, dtype=float)
+def _explicit_fit(x, y, fixed_psi, psi):
+    """Delta-method SEs of the free breaks ``psi``, then the slope and sum
+    of squares of the continuous fit, by ``lstsq`` on the explicit designs."""
+    ramps = (*fixed_psi, *psi)
+    se = ()
+    if len(psi):
+        nfix, npsi = len(fixed_psi), len(psi)
+        D = _segmented_design(x, ramps, psi)
+        coef, sse = _lstsq_fit(y, D)
+        c = coef[1 + nfix : 1 + nfix + npsi]
+        dof = len(x) - D.shape[1]
+        s = np.full(npsi, np.nan)
+        if dof > 0:
+            cov = sse / dof * np.linalg.pinv(D.T @ D)
+            var_g = np.diag(cov)[1 + nfix + npsi :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = np.sqrt(np.maximum(var_g, 0.0)) / np.abs(c)
+        se = tuple(float(v) for v in s)
+    coef, sse = _lstsq_fit(y, _segmented_design(x, ramps))
+    return se, float(coef[0]), sse
+
+
+_STEP_SIZES = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+
+
+def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
+    """Iterate every start (a row of ``psi``) in lockstep.
+
+    Per iteration the active starts share one batched solve for their
+    proposals and one batched sum of squares for every candidate of their
+    damped line searches; each start takes its first step size whose sum of
+    squares does not rise. Returns per start (psi, sse, converged, n_iter).
+    """
+    x = sums.x
+    n_start, npsi = psi.shape
+    fixed = np.asarray(fixed_psi, dtype=float)
+    nfix = len(fixed)
     margin = 1e-9 * (x[-1] - x[0])
     lo, hi = x[0] + margin, x[-1] - margin
-    sse = _sse_continuous(x, y, fixed_psi, psi)
-    converged = False
-    it = 0
+
+    def with_fixed(p):
+        if not nfix:
+            return p
+        return np.concatenate([np.broadcast_to(fixed, (*p.shape[:-1], nfix)), p], axis=-1)
+
+    psi = psi.copy()
+    sse = sums.solve(with_fixed(psi))[1]
+    converged = np.zeros(n_start, dtype=bool)
+    n_iter = np.full(n_start, max_iter)
+    active = np.arange(n_start)
     for it in range(max_iter):
-        D = _segmented_design(x, fixed_psi, psi)
-        coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-        c = coef[1 + nfix : 1 + nfix + npsi]
-        g = coef[1 + nfix + npsi :]
+        if not len(active):
+            break
+        coef = sums.solve(with_fixed(psi[active]), psi[active])[0]
+        c = coef[:, 1 + nfix : 1 + nfix + npsi]
+        g = coef[:, 1 + nfix + npsi :]
         # a vanishing ramp coefficient means that break is unidentified at
         # this iterate; freeze it and let the others move
         step = np.where(np.abs(c) > 1e-10, g / np.where(c == 0.0, 1.0, c), 0.0)
-        if not np.all(np.isfinite(step)):
-            return None
-        moved = False
-        delta = 0.0
+        finite = np.isfinite(step).all(axis=1)
+        active, step = active[finite], step[finite]
         # damped line search on the proposal, accepting only SSE progress
-        for h in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            cand = np.sort(np.clip(psi - h * step, lo, hi))
-            merged = np.sort(np.concatenate([cand, fixed_arr]))
-            if len(merged) > 1 and np.any(np.diff(merged) <= 0.0):
-                continue
-            cand_sse = _sse_continuous(x, y, fixed_psi, cand)
-            if cand_sse <= sse * (1.0 + 1e-12) + 1e-300:
-                delta = float(np.max(np.abs(cand - psi)))
-                psi, sse = cand, cand_sse
-                moved = True
-                break
-        if not moved:
-            converged = bool(np.max(np.abs(step)) < tol)
-            break
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        return None
-    # delta-method SEs from the final working design
-    D = _segmented_design(x, fixed_psi, psi)
-    coef, *_ = np.linalg.lstsq(D, y, rcond=None)
-    c = coef[1 + nfix : 1 + nfix + npsi]
-    g = coef[1 + nfix + npsi :]
-    resid = y - D @ coef
-    dof = len(x) - D.shape[1]
-    se = np.full(npsi, np.nan)
-    if dof > 0:
-        sigma2 = float(resid @ resid) / dof
-        cov = sigma2 * np.linalg.pinv(D.T @ D)
-        var_g = np.diag(cov)[1 + nfix + npsi :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.sqrt(np.maximum(var_g, 0.0)) / np.abs(c)
-    Dp = _segmented_design(x, fixed_psi, psi, with_steps=False)
-    coefp, *_ = np.linalg.lstsq(Dp, y, rcond=None)
-    residp = y - Dp @ coefp
-    return SegmentedFit(
-        psi=tuple(float(p) for p in np.sort(psi)),
-        se=tuple(float(s) for s in se),
-        slope=float(coefp[0]),
-        sse=float(residp @ residp),
-        converged=True,
-        n_iter=it + 1,
-    )
+        p = psi[active]
+        cand = np.sort(np.clip(p[:, None, :] - _STEP_SIZES[:, None] * step[:, None, :], lo, hi), axis=2)
+        valid = (np.diff(np.sort(with_fixed(cand), axis=2), axis=2) > 0.0).all(axis=2)
+        cand_sse = np.full(valid.shape, np.inf)
+        if valid.any():
+            cand_sse[valid] = sums.solve(with_fixed(cand[valid]))[1]
+        accept = valid & (cand_sse <= sse[active, None] * (1.0 + 1e-12) + 1e-300)
+        moved = accept.any(axis=1)
+        rows = np.arange(len(active))
+        h = accept.argmax(axis=1)
+        delta = np.max(np.abs(cand[rows, h] - p), axis=1)
+        psi[active[moved]] = cand[rows, h][moved]
+        sse[active[moved]] = cand_sse[rows, h][moved]
+        done = ~moved | (delta < tol)
+        converged[active[done]] = np.where(moved, delta < tol, np.max(np.abs(step), axis=1) < tol)[done]
+        n_iter[active[done]] = it + 1
+        active = active[~done]
+    return psi, sse, converged, n_iter
+
+
+def _screen_sse(x, y, B: np.ndarray) -> np.ndarray:
+    """Sum of squares of the continuous broken line with ramps at each row
+    of ``B``: screened from the sums, then every row within a band of the
+    best one re-scored by ``lstsq``. The band is wider than the screen's
+    error, so the best row and its score are those of ``lstsq`` alone."""
+    sums = _LineSums(x, y)
+    # blocks of rows bound the solver's temporaries
+    sse = np.concatenate([sums.solve(B[i : i + 1024])[1] for i in range(0, len(B), 1024)])
+    near = np.flatnonzero(sse <= sse.min() + 1e-3 * abs(sse.min()) + 1e-9 * sums.yy)
+    sse[near] = [_lstsq_fit(y, _segmented_design(x, B[i]))[1] for i in near]
+    return sse
 
 
 def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
@@ -635,8 +757,8 @@ def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
     rows = _candidate_combos(cands, free, config.max_set, rng)
-    neg_sse = lambda B: [-_sse_continuous(x, y, row, ()) for row in B]
-    B, i, _ = _search(grid, rows, config, "OLS fallback combination", score=neg_sse)
+    score = lambda B: -_screen_sse(x, y, B)
+    B, i, _ = _search(grid, rows, config, "OLS fallback combination", score=score)
     return B[i], [float(p) for p in rows[i]], None, seg, [f"{reason}; grid fallback used"]
 
 
@@ -667,7 +789,12 @@ def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
     else:
         res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se,
                            "segmented_converged": seg.converged}
+    res.diagnostics.update(_segmented_record(seg))
     return res
+
+
+def _segmented_record(seg: SegmentedFit) -> dict:
+    return {"segmented_n_iter": seg.n_iter, "segmented_starts_converged": seg.n_starts_converged}
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +838,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     if free < 1:
         raise ValueError("fit_hybrid requires at least one unknown change-point")
     grid = _SearchGrid(data)
-    _, psi, se, _, warnings = _ols_search(data, config, grid)
+    _, psi, se, seg, warnings = _ols_search(data, config, grid)
     cands = _candidate_values(data, config)
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
@@ -755,6 +882,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
         "ols_breakpoints": psi,
         "ols_se": se,
         "candidate_set_sizes": [int(len(s)) for s in sets],
+        **_segmented_record(seg),
     }
     return res
 

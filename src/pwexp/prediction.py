@@ -174,6 +174,21 @@ def _param_sets(model) -> tuple[list[PweModel], PweModel | None]:
 _BLOCK = 8192  # draws per sampler call; larger blocks raise peak memory
 
 
+def _uniform_bins(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(grid, t, side="left")`` for an evenly spaced grid.
+
+    The bin comes from arithmetic on the spacing; rounding can leave it one
+    step off near a grid point, which one comparison against ``grid`` on
+    each side corrects.
+    """
+    n = len(grid)
+    step = (grid[-1] - grid[0]) / (n - 1)
+    i = np.clip(np.ceil((t - grid[0]) / step), 0, n).astype(np.intp)
+    i -= (i > 0) & (grid[np.maximum(i - 1, 0)] >= t)
+    i += (i < n) & (grid[np.minimum(i, n - 1)] < t)
+    return i
+
+
 def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
     """(expected, predictive) curves for one parameter set.
 
@@ -206,7 +221,7 @@ def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
             if c is not None:
                 keep &= t < c
             draw = np.flatnonzero(keep) % n_each
-            bins = np.searchsorted(grid, ecal[keep], side="left")
+            bins = _uniform_bins(grid, ecal[keep])
             counts += np.bincount(draw * width + bins, minlength=len(counts))
     ped = counts.reshape(n_each, width).cumsum(axis=1) + snapshot.n_events
     return ped.mean(axis=0), ped

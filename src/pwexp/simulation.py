@@ -167,8 +167,10 @@ def _allocate_exact(month: np.ndarray, weights: np.ndarray, rng: np.random.Gener
     """Exact allocation to weighted cells, month block by month block.
 
     Each block tops every cell up to its cumulative quota (largest-remainder
-    rounding, ties broken at random), so running totals never drift more
-    than one subject from the target ratio.
+    rounding, ties broken at random), so no running total rises a whole
+    subject above its quota. A cell already above its quota gets nothing;
+    when the others' whole shares then overfill the block, the cells with
+    the smallest remainders give a subject back.
     """
     w = weights / weights.sum()
     cell = np.empty(len(month), dtype=int)
@@ -181,7 +183,9 @@ def _allocate_exact(month: np.ndarray, weights: np.ndarray, rng: np.random.Gener
         short = len(block) - base.sum()
         order = np.lexsort((rng.random(len(w)), -(need - base)))
         counts = base.copy()
-        counts[order[:short]] += 1
+        counts[order[:max(short, 0)]] += 1
+        for _ in range(-short):
+            counts[np.argmin(np.where(counts > 0, need - counts, np.inf))] -= 1
         cell[block] = np.repeat(np.arange(len(w)), counts)[rng.permutation(len(block))]
         alloc += counts
         done += len(block)

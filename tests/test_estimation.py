@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import pwexp as pw
 from pwexp.distribution import PweModel
 from pwexp.errors import EmptyPieceError, NoFeasibleModelError
 from pwexp.estimation import (
+    _LineSums,
     _SearchGrid,
     FitConfig,
     FitResult,
@@ -22,7 +23,7 @@ from pwexp.estimation import (
     piece_tally,
     validate_breakpoints,
 )
-from pwexp.survdata import SurvSample
+from pwexp.survdata import SurvSample, km_fit
 
 
 def random_sample(rng, n=40, censor_frac=0.25) -> SurvSample:
@@ -291,6 +292,133 @@ class TestSegmentedLine:
         assert seg.psi[0] == pytest.approx(5.0, abs=1e-6)
 
 
+def line_design(x, ramps, steps):
+    """The explicit design [x, (x - a)_+ for a in ramps, 1(x > a) for a in steps]."""
+    return np.column_stack(
+        [x] + [np.maximum(x - a, 0.0) for a in ramps] + [(x > a).astype(float) for a in steps]
+    )
+
+
+@st.composite
+def line_cases(draw):
+    """Sorted points with noise around a broken line, and rows of ramp and
+    step thresholds inside the points, past the last one or below the first."""
+    m = draw(st.integers(8, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.floats(0.01, 5.0)) + np.cumsum(rng.uniform(0.05, 2.0, m))
+    y = -0.1 * x + 0.08 * np.maximum(x - x[m // 2], 0.0) + rng.normal(0.0, 0.2, m)
+
+    def threshold():
+        where = draw(st.sampled_from(["inside", "past", "below"]))
+        if where == "past":
+            return x[-1] + draw(st.floats(0.0, 3.0))
+        if where == "below":
+            return x[0] - draw(st.floats(1e-3, 3.0))
+        i = draw(st.integers(0, m - 2))
+        return x[i] + draw(st.floats(0.0, 1.0)) * (x[i + 1] - x[i])
+
+    n_rows, n_ramp, n_step = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    ramps = np.array([[threshold() for _ in range(n_ramp)] for _ in range(n_rows)]).reshape(n_rows, n_ramp)
+    steps = np.array([[threshold() for _ in range(n_step)] for _ in range(n_rows)]).reshape(n_rows, n_step)
+    return x, y, ramps, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_cases())
+def test_line_sums_match_lstsq(case):
+    # the batched normal equations square the design's condition number,
+    # so the oracle holds on well-posed designs; a threshold past the last
+    # point leaves an empty column, where lstsq's minimum-norm solution
+    # gives a zero coefficient
+    x, y, ramps, steps = case
+    coef, sse = _LineSums(x, y).solve(ramps, steps)
+    checked = 0
+    for b in range(len(ramps)):
+        D = line_design(x, ramps[b], steps[b])
+        live = D.any(axis=0)
+        if np.linalg.cond(D[:, live] / np.linalg.norm(D[:, live], axis=0)) >= 1e3:
+            continue
+        ref, *_ = np.linalg.lstsq(D, y, rcond=None)
+        assert np.all(np.abs(coef[b] - ref) <= 1e-8 * np.abs(ref).max())
+        assert np.all(np.abs(coef[b, ~live] - ref[~live]) <= 1e-10)
+        assert sse[b] == pytest.approx(float(np.sum((y - D @ ref) ** 2)), rel=1e-8)
+        checked += 1
+    assume(checked)
+
+
+def _reference_run(x, y, psi, fixed_psi, max_iter, tol):
+    """One start of the segmented iteration, with one lstsq per proposal
+    and per line-search step; (psi, sse) when it converges, else None."""
+
+    def sse_of(p):
+        D = line_design(x, (*fixed_psi, *p), ())
+        coef, *_ = np.linalg.lstsq(D, y, rcond=None)
+        r = y - D @ coef
+        return float(r @ r)
+
+    npsi, nfix = len(psi), len(fixed_psi)
+    margin = 1e-9 * (x[-1] - x[0])
+    lo, hi = x[0] + margin, x[-1] - margin
+    sse = sse_of(psi)
+    for _ in range(max_iter):
+        coef, *_ = np.linalg.lstsq(line_design(x, (*fixed_psi, *psi), psi), y, rcond=None)
+        c = coef[1 + nfix : 1 + nfix + npsi]
+        g = coef[1 + nfix + npsi :]
+        step = np.where(np.abs(c) > 1e-10, g / np.where(c == 0.0, 1.0, c), 0.0)
+        if not np.all(np.isfinite(step)):
+            return None
+        for h in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            cand = np.sort(np.clip(psi - h * step, lo, hi))
+            merged = np.sort(np.concatenate([cand, fixed_psi]))
+            if len(merged) > 1 and np.any(np.diff(merged) <= 0.0):
+                continue
+            cand_sse = sse_of(cand)
+            if cand_sse <= sse * (1.0 + 1e-12) + 1e-300:
+                delta = np.max(np.abs(cand - psi))
+                psi, sse = cand, cand_sse
+                break
+        else:
+            return (psi, sse) if np.max(np.abs(step)) < tol else None
+        if delta < tol:
+            return psi, sse
+    return None
+
+
+def reference_segmented_line(x, y, npsi, fixed_psi=(), rng=None, max_iter=50, tol_frac=1e-8,
+                             n_restarts=5):
+    """``fit_segmented_line`` as a loop over starts, one after the other;
+    (converged, psi) of the best converged start."""
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
+    for _ in range(n_restarts - 1):
+        starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
+    best = None
+    for start in starts:
+        out = _reference_run(x, y, np.sort(start), np.asarray(fixed_psi, dtype=float), max_iter,
+                             tol_frac * (x[-1] - x[0]))
+        if out is not None and (best is None or out[1] < best[1]):
+            best = out
+    return (False, ()) if best is None else (True, tuple(best[0]))
+
+
+class TestLockstepMatchesPerStart:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("npsi", [1, 2, 3])
+    @pytest.mark.parametrize("fixed", [(), (14.0,)])
+    def test_km_points(self, true_event_model, seed, npsi, fixed):
+        rng = np.random.default_rng(seed)
+        n = 1000
+        times = pw.sample(true_event_model, n, rng)
+        censor = rng.uniform(5.0, 40.0, n)
+        d = SurvSample(np.minimum(times, censor), (times <= censor).astype(int))
+        x, y = km_fit(d).log_points()
+        seg = fit_segmented_line(x, y, npsi, fixed, rng=np.random.default_rng(seed))
+        converged, psi = reference_segmented_line(x, y, npsi, fixed, rng=np.random.default_rng(seed))
+        assert seg.converged == converged
+        np.testing.assert_allclose(seg.psi, psi, rtol=1e-6)
+
+
 class TestFitOls:
     def test_zero_breaks_degenerates_to_exponential_mle(self):
         rng = np.random.default_rng(31)
@@ -521,6 +649,22 @@ class TestRunRecordKeys:
     def test_hybrid_rows(self, scenario_train):
         diag = fit(scenario_train, FitConfig(nbreak=2, optimizer="hybrid", seed=0)).diagnostics
         assert diag["n_rows"] >= 1
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    @pytest.mark.parametrize("nbreak, converged", [(1, False), (2, True)])
+    def test_segmented_fields(self, scenario_train, optimizer, nbreak, converged):
+        diag = fit(scenario_train, FitConfig(nbreak=nbreak, optimizer=optimizer, seed=0)).diagnostics
+        if converged:
+            assert 1 <= diag["segmented_n_iter"] < 50
+            assert 1 <= diag["segmented_starts_converged"] <= 5
+        else:
+            assert diag["segmented_n_iter"] == 50
+            assert diag["segmented_starts_converged"] == 0
+
+    def test_segmented_fields_without_free_breaks(self, scenario_train):
+        cfg = FitConfig(nbreak=1, fixed_breakpoints=(14.0,), optimizer="ols", seed=0)
+        diag = fit_ols(scenario_train, cfg).diagnostics
+        assert diag["segmented_n_iter"] == 0 and diag["segmented_starts_converged"] == 0
 
     @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
     def test_fallback_warning_text(self, scenario_train, optimizer):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pwexp as pw
 import pwexp.prediction as pr
@@ -117,6 +118,30 @@ class TestCurves:
         ens = pw.predict_events(ENSEMBLE, None, snap, n_each=30, seed=3, horizon=1e4)
         # with no censoring every at-risk subject has its event by a far horizon
         assert np.all(ens.predictive[:, -1] == snap.max_new_events)
+
+
+@st.composite
+def grids_and_keys(draw):
+    """A calendar grid as ``predict_events`` builds it, and keys on grid
+    points, one float step either side of them, or anywhere around it."""
+    t0 = draw(st.floats(0.0, 100.0))
+    grid = np.linspace(t0, t0 + draw(st.floats(1e-3, 200.0)), draw(st.integers(2, 400)) + 1)
+    on = st.sampled_from(grid.tolist())
+    key = (
+        on
+        | on.map(lambda g: np.nextafter(g, np.inf))
+        | on.map(lambda g: np.nextafter(g, -np.inf))
+        | st.sampled_from([grid[-1], np.nextafter(grid[0], np.inf)])
+        | st.floats(grid[0] - 1.0, grid[-1] + 1.0)
+    )
+    return grid, np.array(draw(st.lists(key, min_size=1, max_size=50)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_keys())
+def test_uniform_bins_equal_searchsorted(case):
+    grid, keys = case
+    np.testing.assert_array_equal(pr._uniform_bins(grid, keys), np.searchsorted(grid, keys, side="left"))
 
 
 class TestTracedBindings:
