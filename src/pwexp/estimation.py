@@ -15,7 +15,7 @@ from . import distribution as dist
 from .distribution import PweModel
 from .errors import EmptyPieceError, NoFeasibleModelError
 from .rng import derive_rng
-from .survdata import SurvSample, km_fit
+from .survdata import SurvSample, _Sorted
 
 __all__ = [
     "PieceTally",
@@ -75,19 +75,13 @@ def piece_tally(breakpoints, data: SurvSample) -> PieceTally:
     """Event counts, exposure times, and suffix counts per hazard piece."""
     _check_sample(data, need_event=False)
     b = _check_breakpoints(breakpoints)
-    idx = np.searchsorted(b, data.time, side="right")
-    n_pieces = len(b) + 1
-    n_ev = np.bincount(idx[data.event == 1], minlength=n_pieces)
-    n_all = np.bincount(idx, minlength=n_pieces)
-    n_suffix = n_all[::-1].cumsum()[::-1]
-    # exposure in piece k is sum_i [min(T_i, d_k) - min(T_i, d_{k-1})]
-    acc = np.array([np.minimum(data.time, d).sum() for d in b] + [data.time.sum()])
-    exposure = np.diff(np.concatenate(([0.0], acc)))
+    view = _Sorted(data)
+    n_events, exposure = view.tally(b[None, :])
     return PieceTally(
         breakpoints=tuple(float(x) for x in b),
-        n_events=n_ev,
-        exposure=exposure,
-        n_suffix=n_suffix,
+        n_events=n_events[0],
+        exposure=exposure[0],
+        n_suffix=view.at_risk(np.concatenate(([0.0], b))),
     )
 
 
@@ -198,37 +192,30 @@ def validate_breakpoints(breakpoints, data: SurvSample) -> tuple[tuple[float, ..
     between them are replaced by their average. The cleaned vector always
     satisfies the precondition of :func:`mle_given_breakpoints`.
     """
-    ev = np.sort(data.time[data.event == 1])
-    if len(ev) == 0:
+    view = _Sorted(data)
+    n_events = view.cum_events[-1]
+    if n_events == 0:
         raise ValueError("breakpoint validation requires at least one event")
-    b = list(np.unique(_check_breakpoints(breakpoints)))
+    b = list(_check_breakpoints(breakpoints))
     warnings: list[str] = []
-    if len(b) < len(np.asarray(breakpoints, dtype=float).ravel()):
-        warnings.append("duplicate breakpoints collapsed")
-    changed = True
-    while changed and b:
-        changed = False
-        if np.searchsorted(ev, b[0], side="left") == 0:
+    while b:
+        k = view.events_before(b)
+        empty = np.flatnonzero(k[:-1] == k[1:])
+        if k[0] == 0:
             warnings.append(f"breakpoint {b[0]:g} dropped: no events before it")
             del b[0]
-            changed = True
-            continue
-        if np.searchsorted(ev, b[-1], side="left") == len(ev):
+        elif k[-1] == n_events:
             warnings.append(f"breakpoint {b[-1]:g} dropped: no events at or after it")
             del b[-1]
-            changed = True
-            continue
-        for i in range(len(b) - 1):
-            lo = np.searchsorted(ev, b[i], side="left")
-            hi = np.searchsorted(ev, b[i + 1], side="left")
-            if lo == hi:
-                mid = 0.5 * (b[i] + b[i + 1])
-                warnings.append(
-                    f"breakpoints {b[i]:g} and {b[i + 1]:g} merged to {mid:g}: no events between them"
-                )
-                b[i : i + 2] = [mid]
-                changed = True
-                break
+        elif len(empty):
+            i = empty[0]
+            mid = 0.5 * (b[i] + b[i + 1])
+            warnings.append(
+                f"breakpoints {b[i]:g} and {b[i + 1]:g} merged to {mid:g}: no events between them"
+            )
+            b[i : i + 2] = [mid]
+        else:
+            break
     return tuple(b), warnings
 
 
@@ -236,60 +223,26 @@ def validate_breakpoints(breakpoints, data: SurvSample) -> tuple[tuple[float, ..
 # search machinery
 
 
-class _SearchGrid:
-    """Precomputed cumulative statistics for fast profile-likelihood sweeps.
+def _profile(view: _Sorted, B: np.ndarray, min_pt_tail: int):
+    """Profile log-likelihood of each row of sorted breakpoints ``B``.
 
-    For a breakpoint vector d, the per-piece event count and exposure are
-    differences of #(events < d) and sum_i min(T_i, d), so each candidate
-    combination is evaluated with a handful of array lookups.
+    Returns (loglik, feasible); infeasible rows (an empty piece, zero
+    exposure, or a tail with fewer than ``min_pt_tail`` events) get
+    ``-inf``. This is the one feasibility rule of every search: a row is
+    feasible exactly when :func:`mle_given_breakpoints` accepts it and its
+    tail holds ``min_pt_tail`` events, both reading :meth:`_Sorted.tally`.
     """
-
-    def __init__(self, data: SurvSample):
-        self.all_sorted = np.sort(data.time)
-        self.prefix = np.concatenate(([0.0], np.cumsum(self.all_sorted)))
-        self.ev_sorted = np.sort(data.time[data.event == 1])
-        self.n_total = len(data)
-        self.n_events = len(self.ev_sorted)
-        self.total_exposure = float(self.prefix[-1])
-
-    def exposure_to(self, d):
-        k = np.searchsorted(self.all_sorted, d, side="left")
-        return self.prefix[k] + d * (self.n_total - k)
-
-    def events_before(self, d):
-        return np.searchsorted(self.ev_sorted, d, side="left")
-
-    def profile(self, B: np.ndarray, min_pt_tail: int):
-        """Profile log-likelihood of each row of sorted breakpoints ``B``.
-
-        Returns (loglik, feasible); infeasible rows (an empty piece, zero
-        exposure, or a tail with fewer than ``min_pt_tail`` events) get
-        ``-inf``. This is the one feasibility rule of every search: a row is
-        feasible exactly when :func:`mle_given_breakpoints` accepts it and
-        its tail holds ``min_pt_tail`` events.
-        """
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        k = self.events_before(B)
-        a = self.exposure_to(B)
-        counts = np.concatenate(
-            [k[:, :1], np.diff(k, axis=1), self.n_events - k[:, -1:]], axis=1
-        )
-        expos = np.concatenate(
-            [a[:, :1], np.diff(a, axis=1), self.total_exposure - a[:, -1:]], axis=1
-        )
-        # the tail has exposure only if someone is followed past the last
-        # break; with ties at the largest time the running sums would leave
-        # rounding noise there instead of the exact zero piece_tally finds
-        feasible = (
-            (counts >= 1).all(axis=1)
-            & (expos > 0.0).all(axis=1)
-            & (B[:, -1] < self.all_sorted[-1])
-            & (counts[:, -1] >= min_pt_tail)
-        )
-        safe_c = np.where(counts > 0, counts, 1)
-        safe_e = np.where(expos > 0.0, expos, 1.0)
-        ll = (counts * (np.log(safe_c / safe_e) - 1.0)).sum(axis=1)
-        return np.where(feasible, ll, -np.inf), feasible
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    counts, expos = view.tally(B)
+    feasible = (
+        (counts >= 1).all(axis=1)
+        & (expos > 0.0).all(axis=1)
+        & (counts[:, -1] >= min_pt_tail)
+    )
+    safe_c = np.where(counts > 0, counts, 1)
+    safe_e = np.where(expos > 0.0, expos, 1.0)
+    ll = (counts * (np.log(safe_c / safe_e) - 1.0)).sum(axis=1)
+    return np.where(feasible, ll, -np.inf), feasible
 
 
 def _best_row(B: np.ndarray, ll: np.ndarray) -> int:
@@ -303,9 +256,9 @@ def _best_row(B: np.ndarray, ll: np.ndarray) -> int:
     return int(sel[order[0]])
 
 
-def _candidate_values(data: SurvSample, config: "FitConfig") -> np.ndarray:
+def _candidate_values(view: _Sorted, config: "FitConfig") -> np.ndarray:
     """Distinct event times eligible as change-point candidates."""
-    cands = np.unique(data.time[data.event == 1])
+    cands = view.event_times
     if config.exclude_int is not None:
         lo, hi = config.exclude_int
         cands = cands[(cands < lo) | (cands >= hi)]
@@ -349,17 +302,17 @@ def _merge_fixed(combos: np.ndarray, fixed: Sequence[float]) -> np.ndarray:
     return np.sort(np.concatenate([combos, tiled], axis=1), axis=1)
 
 
-def _search(grid: _SearchGrid, rows: np.ndarray, config: "FitConfig", label: str, score=None):
+def _search(view: _Sorted, rows: np.ndarray, config: "FitConfig", label: str, score=None):
     """The change-point search shared by every optimizer.
 
     Merges the fixed change-points into each row of free ones and marks the
-    feasible rows with one :meth:`_SearchGrid.profile`. Rows are scored by
+    feasible rows with one :func:`_profile`. Rows are scored by
     their profile log-likelihood, or by ``score`` (higher is better) over
     the feasible rows only. Returns (all rows, index of the best one,
     feasible mask).
     """
     B = _merge_fixed(rows, config.fixed_breakpoints)
-    ll, feasible = grid.profile(B, config.min_pt_tail)
+    ll, feasible = _profile(view, B, config.min_pt_tail)
     if not feasible.any():
         raise NoFeasibleModelError(f"every {label} was infeasible")
     if score is not None:
@@ -437,13 +390,14 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     free = config.nbreak - len(config.fixed_breakpoints)
     if free < 1:
         raise ValueError("fit_bfs requires at least one unknown change-point")
-    cands = _candidate_values(data, config)
-    if len(np.unique(data.time[data.event == 1])) <= config.nbreak:
+    view = _Sorted(data)
+    cands = _candidate_values(view, config)
+    if len(view.event_times) <= config.nbreak:
         raise NoFeasibleModelError("need more distinct event times than change-points")
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidate event times outside the excluded interval")
     combos = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
-    B, i, feasible = _search(_SearchGrid(data), combos, config, "change-point combination")
+    B, i, feasible = _search(view, combos, config, "change-point combination")
     res = mle_given_breakpoints(B[i], data)
     res.optimizer = "bfs"
     res.diagnostics = {
@@ -576,9 +530,6 @@ def fit_segmented_line(
     npsi: int,
     fixed_psi: Sequence[float] = (),
     rng: np.random.Generator | None = None,
-    max_iter: int = 50,
-    tol_frac: float = 1e-8,
-    n_restarts: int = 5,
 ) -> SegmentedFit:
     """Continuous piecewise-linear regression through the origin.
 
@@ -604,13 +555,13 @@ def fit_segmented_line(
         rng = np.random.default_rng(0)
     span = x[-1] - x[0]
     starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
-    for _ in range(n_restarts - 1):
+    for _ in range(_N_RESTARTS - 1):
         starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
     psi, sse, converged, n_iter = _run_segmented(
-        _LineSums(x, y), np.sort(starts, axis=1), fixed_psi, max_iter, tol_frac * span
+        _LineSums(x, y), np.sort(starts, axis=1), fixed_psi, _MAX_ITER, _TOL_FRAC * span
     )
     if not converged.any():
-        return SegmentedFit((), (), 0.0, np.inf, False, max_iter)
+        return SegmentedFit((), (), 0.0, np.inf, False, _MAX_ITER)
     best = int(np.argmin(np.where(converged, sse, np.inf)))
     se, slope, best_sse = _explicit_fit(x, y, fixed_psi, psi[best])
     return SegmentedFit(
@@ -653,6 +604,9 @@ def _explicit_fit(x, y, fixed_psi, psi):
 
 
 _STEP_SIZES = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+_MAX_ITER = 50
+_TOL_FRAC = 1e-8
+_N_RESTARTS = 5
 
 
 def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
@@ -661,7 +615,10 @@ def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
     Per iteration the active starts share one batched solve for their
     proposals and one batched sum of squares for every candidate of their
     damped line searches; each start takes its first step size whose sum of
-    squares does not rise. Returns per start (psi, sse, converged, n_iter).
+    squares does not rise. A start that stops with a break within ``tol``
+    of a clip bound has not converged: the clip holds that break, and
+    whether its last step passed rests on rounding noise. Returns per start
+    (psi, sse, converged, n_iter).
     """
     x = sums.x
     n_start, npsi = psi.shape
@@ -709,7 +666,8 @@ def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
         converged[active[done]] = np.where(moved, delta < tol, np.max(np.abs(step), axis=1) < tol)[done]
         n_iter[active[done]] = it + 1
         active = active[~done]
-    return psi, sse, converged, n_iter
+    clipped = (np.minimum(psi - lo, hi - psi) <= tol).any(axis=1)
+    return psi, sse, converged & ~clipped, n_iter
 
 
 def _screen_sse(x, y, B: np.ndarray) -> np.ndarray:
@@ -725,7 +683,7 @@ def _screen_sse(x, y, B: np.ndarray) -> np.ndarray:
     return sse
 
 
-def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
+def _ols_search(view: _Sorted, config: FitConfig):
     """Change-points by segmented least squares on the log KM curve.
 
     The segmented solution stands when the search's feasibility rule and
@@ -734,7 +692,7 @@ def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
     squares. Returns (all change-points, the free ones, their standard
     errors or None after the fallback, the segmented fit, warnings).
     """
-    x, y = km_fit(data).log_points()
+    x, y = view.km().log_points()
     if len(x) < 2 * (config.nbreak + 1):
         raise NoFeasibleModelError(
             f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(x)}"
@@ -748,17 +706,17 @@ def _ols_search(data: SurvSample, config: FitConfig, grid: _SearchGrid):
     if seg.converged:
         row = _merge_fixed(np.array([seg.psi]), fixed)
         lo, hi = config.exclude_int or (np.inf, np.inf)
-        if grid.profile(row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
+        if _profile(view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
             return row[0], list(seg.psi), list(seg.se), seg, []
         reason = "segmented solution violated feasibility constraints"
     else:
         reason = "segmented regression did not converge"
-    cands = _candidate_values(data, config)
+    cands = _candidate_values(view, config)
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
     rows = _candidate_combos(cands, free, config.max_set, rng)
     score = lambda B: -_screen_sse(x, y, B)
-    B, i, _ = _search(grid, rows, config, "OLS fallback combination", score=score)
+    B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
     return B[i], [float(p) for p in rows[i]], None, seg, [f"{reason}; grid fallback used"]
 
 
@@ -780,16 +738,12 @@ def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
     grid fallback finds no feasible combination.
     """
     _check_sample(data)
-    bps, psi, se, seg, warnings = _ols_search(data, config, _SearchGrid(data))
+    bps, psi, se, seg, warnings = _ols_search(_Sorted(data), config)
     res = mle_given_breakpoints(bps, data)
     res.optimizer = "ols"
     res.warnings = warnings
-    if config.nbreak == len(config.fixed_breakpoints):
-        res.diagnostics = {"free_breakpoints": [], "breakpoint_se": [], "slope": seg.slope}
-    else:
-        res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se,
-                           "segmented_converged": seg.converged}
-    res.diagnostics.update(_segmented_record(seg))
+    res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
+                       "segmented_converged": seg.converged, **_segmented_record(seg)}
     return res
 
 
@@ -837,9 +791,9 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     free = config.nbreak - len(config.fixed_breakpoints)
     if free < 1:
         raise ValueError("fit_hybrid requires at least one unknown change-point")
-    grid = _SearchGrid(data)
-    _, psi, se, seg, warnings = _ols_search(data, config, grid)
-    cands = _candidate_values(data, config)
+    view = _Sorted(data)
+    _, psi, se, seg, warnings = _ols_search(view, config)
+    cands = _candidate_values(view, config)
     if len(cands) < free:
         raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
     spacing = (cands[-1] - cands[0]) / max(len(cands) - 1, 1) if len(cands) > 1 else 1.0
@@ -852,7 +806,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
         inside = cands[(cands >= p - win) & (cands <= p + win)]
         if len(inside) < 3:
             inside = _nearest(cands, p, k=min(3, len(cands)))
-        sets.append(np.unique(inside))
+        sets.append(inside)
 
     total = int(np.prod([len(s) for s in sets], dtype=object))
     if total <= 4 * config.max_set:
@@ -860,10 +814,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     else:
         picks = [s[rng.integers(0, len(s), size=config.max_set)] for s in sets]
         rows = np.column_stack(picks)
-    keep = np.ones(len(rows), dtype=bool)
-    if free > 1:
-        keep = (np.diff(rows, axis=1) > 0.0).all(axis=1)
-    rows = rows[keep]
+    rows = rows[(np.diff(rows, axis=1) > 0.0).all(axis=1)]
     if len(rows) > config.max_set:
         sel = np.sort(rng.choice(len(rows), size=config.max_set, replace=False))
         rows = rows[sel]
@@ -873,7 +824,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     if len(rows) == 0:
         raise NoFeasibleModelError("hybrid candidate set is empty")
 
-    B, i, _ = _search(grid, rows, config, "hybrid candidate row")
+    B, i, _ = _search(view, rows, config, "hybrid candidate row")
     res = mle_given_breakpoints(B[i], data)
     res.optimizer = "hybrid"
     res.warnings = warnings
@@ -912,10 +863,7 @@ def fit(data: SurvSample, config: FitConfig) -> FitResult:
             # change-points stays what the caller asked for
             free0 = config.nbreak - len(config.fixed_breakpoints)
             cfg = replace(config, fixed_breakpoints=cleaned, nbreak=len(cleaned) + free0)
-    free = cfg.nbreak - len(cfg.fixed_breakpoints)
-    if cfg.nbreak == 0:
-        res = mle_given_breakpoints((), data)
-    elif free == 0:
+    if cfg.nbreak == len(cfg.fixed_breakpoints):
         res = mle_given_breakpoints(cfg.fixed_breakpoints, data)
     elif cfg.optimizer == "bfs":
         res = fit_bfs(data, cfg)

@@ -10,7 +10,7 @@ from ._parallel import parallel_map
 from .errors import EmptyPieceError, NoFeasibleModelError
 from .estimation import FitConfig, FitResult, fit, loglik
 from .rng import derive_rng, derive_seed
-from .survdata import SurvSample, write_table
+from .survdata import SurvSample, _Sorted, write_table
 
 __all__ = ["BootFit", "CvResult", "boot_fit", "cv_loglik"]
 
@@ -201,7 +201,7 @@ def cv_loglik(
         # the OLS search needs 2 * (nbreak + 1) positive-survival KM steps, a
         # training split has at most one per distinct event time, and fit()
         # may clean away fixed change-points, so only searched ones count
-        n_times = len(np.unique(data.time[data.event == 1]))
+        n_times = len(_Sorted(data).event_times)
         if n_times < 2 * (free + 1):
             raise NoFeasibleModelError(
                 f"optimizer {config.optimizer!r} needs at least {2 * (free + 1)} distinct "

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,6 +101,56 @@ class KmCurve:
         return self.time[keep], np.log(self.survival[keep])
 
 
+class _Sorted:
+    """A sample sorted by follow-up time: the sorted times with their prefix
+    sums, and the distinct event times with their event counts and the
+    number of events before each (``cum_events``, one entry longer). Built
+    per call and never kept on the sample, which travels to pool workers."""
+
+    def __init__(self, data: SurvSample):
+        self.time = np.sort(data.time)
+        self.event_times, self.event_counts = np.unique(data.time[data.event == 1], return_counts=True)
+        self.cum_events = np.concatenate(([0], np.cumsum(self.event_counts)))
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """Running sums of the sorted times, from 0 (Kaplan-Meier needs none)."""
+        return np.concatenate(([0.0], np.cumsum(self.time)))
+
+    def events_before(self, d):
+        """Number of events at times < d."""
+        return self.cum_events[np.searchsorted(self.event_times, d, side="left")]
+
+    def at_risk(self, d):
+        """Number of subjects followed to d or later."""
+        return len(self.time) - np.searchsorted(self.time, d, side="left")
+
+    def exposure_to(self, d):
+        """Follow-up time spent before d: sum_i min(T_i, d)."""
+        k = np.searchsorted(self.time, d, side="left")
+        return self.prefix[k] + d * (len(self.time) - k)
+
+    def tally(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Events and exposure per piece, two (rows, r + 1) arrays, for the
+        rows of sorted breakpoints ``B``. A piece that starts at or past the
+        largest time has exactly 0 exposure, not the rounding noise the
+        running sums leave when that time is tied."""
+        # looked up one breakpoint column at a time: a search enumerates its
+        # rows in order, so each column is nearly sorted, which makes
+        # searchsorted several times faster than on the interleaved rows
+        Bt = np.ascontiguousarray(B.T)
+        counts = np.diff(self.events_before(Bt), axis=0, prepend=0, append=self.cum_events[-1])
+        exposure = np.diff(self.exposure_to(Bt), axis=0, prepend=0.0, append=self.prefix[-1])
+        exposure[1:][Bt >= self.time[-1]] = 0.0
+        return counts.T, exposure.T
+
+    def km(self) -> KmCurve:
+        """Product-limit estimate; see :func:`km_fit`."""
+        at_risk = self.at_risk(self.event_times)
+        surv = np.cumprod(1.0 - self.event_counts / at_risk)
+        return KmCurve(time=self.event_times, survival=surv, at_risk=at_risk, n_event=self.event_counts)
+
+
 def km_fit(data: SurvSample) -> KmCurve:
     """Kaplan-Meier estimate of the survival function.
 
@@ -109,10 +160,7 @@ def km_fit(data: SurvSample) -> KmCurve:
     """
     if len(data) == 0:
         raise ValueError("cannot fit a KM curve to an empty sample")
-    ev_times, d = np.unique(data.time[data.event == 1], return_counts=True)
-    at_risk = len(data) - np.searchsorted(np.sort(data.time), ev_times, side="left")
-    surv = np.cumprod(1.0 - d / at_risk)
-    return KmCurve(time=ev_times, survival=surv, at_risk=at_risk, n_event=d)
+    return _Sorted(data).km()
 
 
 def cut_data(data: SurvSample, cut: float) -> SurvSample:

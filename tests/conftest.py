@@ -13,14 +13,14 @@ def true_event_model() -> pw.PweModel:
     return pw.PweModel(TRUE_RATES, TRUE_BREAKS)
 
 
-def make_scenario(seed: int):
-    """1000-subject trial from the reference scenario, cut at 80% accrual.
+def make_scenario(seed: int, n: int = 1000):
+    """``n``-subject trial from the reference scenario, cut at 80% accrual.
 
     Returns (train sample, cut time, full frame).
     """
     design = pw.TrialDesign(
         rand_rate=20,
-        total_sample=1000,
+        total_sample=n,
         drop_rate=DROP_RATE,
         dists=pw.ArmModel(event=pw.PweModel(TRUE_RATES, TRUE_BREAKS)),
     )

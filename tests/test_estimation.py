@@ -10,7 +10,9 @@ from pwexp.distribution import PweModel
 from pwexp.errors import EmptyPieceError, NoFeasibleModelError
 from pwexp.estimation import (
     _LineSums,
-    _SearchGrid,
+    _TOL_FRAC,
+    _profile,
+    _run_segmented,
     FitConfig,
     FitResult,
     fit,
@@ -23,7 +25,10 @@ from pwexp.estimation import (
     piece_tally,
     validate_breakpoints,
 )
-from pwexp.survdata import SurvSample, km_fit
+from pwexp.rng import derive_rng
+from pwexp.survdata import SurvSample, _Sorted, km_fit
+
+from conftest import make_scenario
 
 
 def random_sample(rng, n=40, censor_frac=0.25) -> SurvSample:
@@ -348,7 +353,9 @@ def test_line_sums_match_lstsq(case):
 
 def _reference_run(x, y, psi, fixed_psi, max_iter, tol):
     """One start of the segmented iteration, with one lstsq per proposal
-    and per line-search step; (psi, sse) when it converges, else None."""
+    and per line-search step; (psi, sse) when it converges, else None. A
+    start that stops with a break within tol of a clip bound has not
+    converged."""
 
     def sse_of(p):
         D = line_design(x, (*fixed_psi, *p), ())
@@ -360,6 +367,11 @@ def _reference_run(x, y, psi, fixed_psi, max_iter, tol):
     margin = 1e-9 * (x[-1] - x[0])
     lo, hi = x[0] + margin, x[-1] - margin
     sse = sse_of(psi)
+
+    def stop(ok):
+        clipped = np.min(np.minimum(psi - lo, hi - psi)) <= tol
+        return (psi, sse) if ok and not clipped else None
+
     for _ in range(max_iter):
         coef, *_ = np.linalg.lstsq(line_design(x, (*fixed_psi, *psi), psi), y, rcond=None)
         c = coef[1 + nfix : 1 + nfix + npsi]
@@ -378,24 +390,28 @@ def _reference_run(x, y, psi, fixed_psi, max_iter, tol):
                 psi, sse = cand, cand_sse
                 break
         else:
-            return (psi, sse) if np.max(np.abs(step)) < tol else None
+            return stop(np.max(np.abs(step)) < tol)
         if delta < tol:
-            return psi, sse
+            return stop(True)
     return None
 
 
-def reference_segmented_line(x, y, npsi, fixed_psi=(), rng=None, max_iter=50, tol_frac=1e-8,
-                             n_restarts=5):
+def segmented_starts(x, npsi, rng, n_restarts=5):
+    """The starts of ``fit_segmented_line`` on sorted ``x``: quantiles, then random."""
+    starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
+    for _ in range(n_restarts - 1):
+        starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
+    return np.sort(starts, axis=1)
+
+
+def reference_segmented_line(x, y, npsi, fixed_psi=(), rng=None, max_iter=50, tol_frac=1e-8):
     """``fit_segmented_line`` as a loop over starts, one after the other;
     (converged, psi) of the best converged start."""
     order = np.argsort(x)
     x, y = x[order], y[order]
-    starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
-    for _ in range(n_restarts - 1):
-        starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
     best = None
-    for start in starts:
-        out = _reference_run(x, y, np.sort(start), np.asarray(fixed_psi, dtype=float), max_iter,
+    for start in segmented_starts(x, npsi, rng):
+        out = _reference_run(x, y, start, np.asarray(fixed_psi, dtype=float), max_iter,
                              tol_frac * (x[-1] - x[0]))
         if out is not None and (best is None or out[1] < best[1]):
             best = out
@@ -417,6 +433,26 @@ class TestLockstepMatchesPerStart:
         converged, psi = reference_segmented_line(x, y, npsi, fixed, rng=np.random.default_rng(seed))
         assert seg.converged == converged
         np.testing.assert_allclose(seg.psi, psi, rtol=1e-6)
+
+
+def test_clipped_break_convergence_is_stable():
+    # seed 3, 300 subjects, r = 3: one start's first break ends clipped at
+    # the first KM point, where accepting its last step rests on an SSE
+    # difference of rounding size; a 1e-12 nudge of any iterate of any
+    # start must not change whether that start converged
+    data, _, _ = make_scenario(seed=3, n=300)
+    x, y = km_fit(data).log_points()
+    sums = _LineSums(x, y)
+    tol = _TOL_FRAC * (x[-1] - x[0])
+    lo = x[0] + 1e-9 * (x[-1] - x[0])
+    ends = []
+    for start in segmented_starts(x, 3, derive_rng(3, 202)):
+        for k in range(1, 9):
+            psi = _run_segmented(sums, start[None], (), k, tol)[0]
+            flags = {bool(_run_segmented(sums, psi + eps, (), 50, tol)[2][0]) for eps in (-1e-12, 0.0, 1e-12)}
+            assert len(flags) == 1
+        ends.append(_run_segmented(sums, start[None], (), 50, tol)[0][0])
+    assert any(p[0] - lo <= tol for p in ends)
 
 
 class TestFitOls:
@@ -598,6 +634,17 @@ class TestSearchProperties:
         assert back.n_obs == res.n_obs
 
 
+def reference_tally(breakpoints, data):
+    """(events, exposure, n_suffix) per piece from each subject's piece and
+    one sum of min(T_i, d) over the subjects per break d."""
+    b = np.asarray(breakpoints, dtype=float)
+    idx = np.searchsorted(b, data.time, side="right")
+    n_events = np.bincount(idx[data.event == 1], minlength=len(b) + 1)
+    n_suffix = np.bincount(idx, minlength=len(b) + 1)[::-1].cumsum()[::-1]
+    acc = np.array([np.minimum(data.time, d).sum() for d in b] + [data.time.sum()])
+    return n_events, np.diff(np.concatenate(([0.0], acc))), n_suffix
+
+
 @st.composite
 def samples_and_rows(draw):
     """A censored sample, possibly with heavy ties, and strictly increasing
@@ -620,7 +667,7 @@ def samples_and_rows(draw):
 @given(samples_and_rows())
 def test_profile_feasible_exactly_when_mle_succeeds(case):
     data, B, min_pt_tail = case
-    ll, feasible = _SearchGrid(data).profile(B, min_pt_tail)
+    ll, feasible = _profile(_Sorted(data), B, min_pt_tail)
     ev = data.time[data.event == 1]
     for row, row_ll, ok in zip(B, ll, feasible):
         try:
@@ -635,6 +682,16 @@ def test_profile_feasible_exactly_when_mle_succeeds(case):
         tally = piece_tally(row, data)
         assert tally.n_events.sum() == data.n_events
         assert tally.exposure.sum() == pytest.approx(data.time.sum(), rel=1e-12)
+        n_events, exposure, n_suffix = reference_tally(row, data)
+        np.testing.assert_array_equal(tally.n_events, n_events)
+        np.testing.assert_array_equal(tally.n_suffix, n_suffix)
+        # nobody is followed inside a piece that starts at or past the
+        # largest time (ties there included): both give exactly 0
+        empty = np.concatenate(([0.0], row)) >= data.time.max()
+        assert np.all(tally.exposure[empty] == 0.0) and np.all(exposure[empty] == 0.0)
+        # both difference running sums, so a piece a few ulps wide carries
+        # rounding noise of the sums' size: compare on the total's scale
+        np.testing.assert_allclose(tally.exposure, exposure, rtol=1e-12, atol=1e-12 * data.time.sum())
 
 
 class TestRunRecordKeys:

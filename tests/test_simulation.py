@@ -6,6 +6,8 @@ import pwexp as pw
 from pwexp.simulation import _allocate_exact, sim_followup
 from pwexp.survdata import SurvSample, cut_data
 
+from conftest import DROP_RATE, TRUE_BREAKS, TRUE_RATES
+
 DESIGN_KW = dict(rand_rate=10, total_sample=60, drop_rate=0.03)
 
 
@@ -101,3 +103,59 @@ def test_cut_data_is_idempotent(data, cut):
     twice = cut_data(once, cut)
     for name in ("time", "event", "rand_time", "follow_abs_time", "censor_reason"):
         np.testing.assert_array_equal(getattr(twice, name), getattr(once, name))
+
+
+def event_prob(model: pw.PweModel, mu: float, s) -> np.ndarray:
+    """P(event by time s) under a PWE event hazard with a competing
+    exponential drop-out hazard ``mu``: over the pieces [a_k, b_k),
+    lam_k / (lam_k + mu) * exp(-(Lam + M)(a_k)) * (1 - exp(-(lam_k + mu) w_k)),
+    w_k the part of the piece before s; 0 for s <= 0."""
+    rates = np.asarray(model.rates)
+    lower = np.concatenate(([0.0], model.breakpoints))
+    upper = np.append(model.breakpoints, np.inf)
+    total = rates + mu
+    at_start = np.exp(-np.concatenate(([0.0], np.cumsum(total[:-1] * np.diff(lower)))))
+    width = np.clip(np.asarray(s, dtype=float)[..., None] - lower, 0.0, upper - lower)
+    return np.sum(rates / total * at_start * -np.expm1(-total * width), axis=-1)
+
+
+MU = -np.log1p(-DROP_RATE)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cut_event_count_matches_closed_form(seed):
+    # given the drawn enrollment times, each subject enrolled by the cut
+    # has an event in the cut data with probability event_prob(cut - randT)
+    model = pw.PweModel(TRUE_RATES, TRUE_BREAKS)
+    design = pw.TrialDesign(rand_rate=100, total_sample=5000, drop_rate=DROP_RATE,
+                            dists=pw.ArmModel(event=model))
+    frame = pw.simulate_trial(design, seed=seed)
+    for cut in (8.0, 25.0, 60.0):
+        data = cut_data(frame.to_surv_sample(), cut)
+        p = event_prob(model, MU, cut - frame.randT[frame.randT <= cut])
+        assert abs(data.n_events - p.sum()) <= 4.0 * np.sqrt(np.sum(p * (1.0 - p)))
+
+
+def test_sim_followup_events_match_closed_form():
+    # 20 subjects a month, exactly 10 per arm, each enrolling uniformly in
+    # the month: a subject's event by the milestone is Bernoulli with the
+    # month's average of event_prob, independently of the others
+    rates = {"trt": 0.05, "con": 0.1}
+    design = pw.TrialDesign(
+        rand_rate=20, total_sample=1000, drop_rate=DROP_RATE,
+        groups=(("trt", 1.0), ("con", 1.0)),
+        dists={g: pw.ArmModel(event=pw.PweModel((r,))) for g, r in rates.items()},
+    )
+    at, rep = (10.0, 30.0, 60.0), 100
+    res = sim_followup(design, at=at, by_group=True, rep=rep, seed=1)
+    enrol = np.arange(50.0)[:, None] + (np.arange(2000) + 0.5) / 2000
+    overall = {row["at"]: row["event"] for row in res.overall}
+    for j, milestone in enumerate(at):
+        mean = var = 0.0
+        for g, r in rates.items():
+            p = event_prob(pw.PweModel((r,)), MU, milestone - enrol).mean(axis=1)
+            row = next(x for x in res.by_group if x["group"] == g and x["at"] == milestone)
+            g_mean, g_var = 10.0 * p.sum(), 10.0 * np.sum(p * (1.0 - p))
+            assert abs(row["event"] - g_mean) <= 4.0 * np.sqrt(g_var / rep)
+            mean, var = mean + g_mean, var + g_var
+        assert abs(overall[milestone] - mean) <= 4.0 * np.sqrt(var / rep)
