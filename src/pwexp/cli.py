@@ -31,13 +31,7 @@ from .survdata import cut_data, km_fit, read_survival_csv, write_table
 
 
 def _parse_floats(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(np.inf if tok.lower() in ("inf", "+inf") else float(tok))
-    return out
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -224,13 +218,12 @@ def _cmd_dist(args, argv):
         vals = np.atleast_1d(cond[args.fn](model, at, args.given))
     else:
         vals = np.atleast_1d(fn(model, at))
-    lines = ["at,value"] + [f"{repr(float(a))},{repr(float(v))}" for a, v in zip(at, vals)]
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(args.out, {"at": at, "value": vals})
         _write_manifest(args.out, "dist", argv)
     else:
-        print("\n".join(lines))
+        rows = [f"{a!r},{v!r}" for a, v in zip(at.tolist(), vals.tolist())]
+        print("\n".join(["at,value", *rows]))
     return 0
 
 

@@ -21,6 +21,7 @@ from .errors import PwexpError
 from .estimation import FitResult
 from .resampling import BootFit
 from .rng import derive_rng
+from .simulation import _enrol_months
 from .survdata import SurvSample, write_table
 
 __all__ = [
@@ -68,22 +69,14 @@ class AccrualPlan:
         """Month index (from the analysis time) in which accrual finishes."""
         if self.n_remaining == 0:
             return 0.0
-        if self.rate is not None:
-            return float(np.floor((self.n_remaining - 1) / self.rate)) + 1.0
-        used = np.searchsorted(np.cumsum(self.monthly_counts), self.n_remaining, side="left")
-        return float(used) + 1.0
+        return float(_enrol_months(self.n_remaining, self.rate, self.monthly_counts)[-1]) + 1.0
 
     def draw_times(self, t0: float, rng: np.random.Generator) -> np.ndarray:
         """Calendar enrollment times of the remaining subjects."""
         n = self.n_remaining
         if n == 0:
             return np.empty(0)
-        if self.rate is not None:
-            month = np.floor(np.arange(n) / self.rate)
-        else:
-            month = np.repeat(np.arange(len(self.monthly_counts), dtype=float),
-                              self.monthly_counts)[:n]
-        return t0 + month + rng.random(n)
+        return t0 + _enrol_months(n, self.rate, self.monthly_counts) + rng.random(n)
 
 
 @dataclass(frozen=True)

@@ -192,14 +192,12 @@ def _allocate_exact(month: np.ndarray, weights: np.ndarray, rng: np.random.Gener
     return cell
 
 
-def _enroll(design: TrialDesign, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    total = design.total
-    if design.n_rand is None:
-        month = np.floor(np.arange(total) / design.rand_rate)
-    else:
-        month = np.repeat(np.arange(len(design.n_rand), dtype=float), design.n_rand)
-    # uniform enrollment within each accrual month
-    return month + rng.random(total), month
+def _enrol_months(n: int, rate: float | None, counts: Sequence[int] | None) -> np.ndarray:
+    """Accrual month (0, 1, ...) of each of the first ``n`` subjects, who
+    enrol at a constant monthly ``rate`` or by per-month ``counts``."""
+    if rate is not None:
+        return np.floor(np.arange(n) / rate)
+    return np.repeat(np.arange(len(counts), dtype=float), counts)[:n]
 
 
 def simulate_trial(design: TrialDesign, seed: int | np.random.Generator) -> TrialFrame:
@@ -221,7 +219,8 @@ def simulate_trial(design: TrialDesign, seed: int | np.random.Generator) -> Tria
         return TrialFrame(empty_i, empty_o, empty_o, empty_f, empty_f, empty_f,
                           empty_f, empty_f, empty_f, empty_i.astype(np.int8),
                           empty_i.astype(np.int8), empty_o)
-    randT, month = _enroll(design, rng)
+    month = _enrol_months(total, design.rand_rate, design.n_rand)
+    randT = month + rng.random(total)  # uniform enrollment within each accrual month
 
     group_names = [g for g, _ in design.groups]
     strat_names = [s for s, _ in design.strata]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -198,12 +199,6 @@ def cut_data(data: SurvSample, cut: float) -> SurvSample:
     )
 
 
-def _parse_float(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return np.inf
-    return float(text)
-
-
 _NONFINITE_CELLS = {"inf": "Inf", "-inf": "-Inf", "nan": "NA"}
 _WRITE_BLOCK_ROWS = 1024
 
@@ -257,36 +252,55 @@ def read_survival_csv(
 ) -> SurvSample:
     """Load a sample from a CSV file with configurable column names.
 
-    Infinite times may be written as the literal ``Inf``. Empty censor-reason
-    cells (or the literal ``NA``) become ``None``.
+    Cells follow the rule of :func:`write_table`: a float as ``repr`` writes
+    it or ``Inf``/``-Inf`` (any case, spaces around it ignored; ``NA`` is an
+    error), an event 0 or 1, and a censor reason ``NA`` or blank for ``None``.
+    Cells may be quoted, blank lines are skipped, only the requested columns
+    are parsed, and a malformed cell or a short row raises ``ValueError``.
     """
-    cols: dict[str, list] = {}
+    float_cols = [c for c in (time_col, event_col, rand_time_col, follow_abs_time_col) if c]
+    text_cols = [c for c in (censor_reason_col, id_col) if c]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty CSV")
-        needed = [c for c in (time_col, event_col, rand_time_col, follow_abs_time_col,
-                              censor_reason_col, id_col) if c is not None]
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in float_cols + text_cols if c not in header]
         if missing:
-            raise ValueError(f"{path}: missing columns {missing}; found {reader.fieldnames}")
-        for c in needed:
-            cols[c] = []
-        for row in reader:
-            for c in needed:
-                cols[c].append(row[c])
+            raise ValueError(f"{path}: missing columns {missing}; found {header}")
+        position = {name: i for i, name in enumerate(header)}  # the last repeated name wins
+
+        def columns(names, dtype) -> dict[str, np.ndarray]:
+            if not names:
+                return {}
+            fh.seek(0)
+            with warnings.catch_warnings():
+                # a header-only file is an empty sample; blank lines are skipped
+                warnings.filterwarnings("ignore", r"loadtxt: input contained no data|Input line")
+                try:
+                    # comments=None: the default "#" would cut a cell such as "#3"
+                    table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                       comments=None, skiprows=reader.line_num,
+                                       usecols=[position[c] for c in names], ndmin=2)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+            # with no data rows, ndmin=2 may give shape (0, 1) whatever usecols holds
+            return dict(zip(names, table.reshape(-1, len(names)).T))
+
+        floats, texts = columns(float_cols, float), columns(text_cols, str)
+    event = floats[event_col]
+    if not np.isin(event, (0.0, 1.0)).all():
+        raise ValueError(f"{path}: {event_col} cells must be 0 or 1")
     reasons = None
     if censor_reason_col is not None:
-        reasons = np.array(
-            [None if r.strip() in ("", "NA") else r.strip() for r in cols[censor_reason_col]],
-            dtype=object,
-        )
-    as_floats = lambda c: np.array([_parse_float(v) for v in cols[c]])
+        stripped = np.char.strip(texts[censor_reason_col])
+        reasons = stripped.astype(object)
+        reasons[np.isin(stripped, ("", "NA"))] = None
     return SurvSample(
-        time=as_floats(time_col),
-        event=np.array([int(float(v)) for v in cols[event_col]], dtype=np.int8),
-        rand_time=as_floats(rand_time_col) if rand_time_col else None,
-        follow_abs_time=as_floats(follow_abs_time_col) if follow_abs_time_col else None,
+        time=floats[time_col],
+        event=event.astype(np.int8),
+        rand_time=floats.get(rand_time_col),
+        follow_abs_time=floats.get(follow_abs_time_col),
         censor_reason=reasons,
-        ids=np.array(cols[id_col]) if id_col else None,
+        ids=texts.get(id_col),
     )

@@ -11,6 +11,8 @@ from pwexp import distribution as dist
 from pwexp.cli import main
 from pwexp.survdata import read_survival_csv, write_table
 
+from conftest import assert_same_sample, reference_read_survival_csv
+
 SEED = 11
 CUT = 20.0
 DESIGN_ARGS = [
@@ -115,6 +117,27 @@ def test_cut_matches_cut_data(workdir, cut_sample):
     assert list(cut_sample.ids) == list(ref.ids)
 
 
+@pytest.mark.parametrize("name", ["trial.csv", "cut.csv"])
+def test_read_matches_row_wise_reference(workdir, name):
+    path = workdir / name
+    assert_same_sample(read_survival_csv(path, **CALENDAR),
+                       reference_read_survival_csv(path, **CALENDAR))
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("1.5,1\r\n2.0\r\n", "invalid column index"),
+    ("1.5,256\r\n", "must be 0 or 1"),
+    ("1.5,1.5\r\n", "must be 0 or 1"),
+])
+def test_km_reports_malformed_cells(tmp_path, capsys, rows, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text("followT,event\r\n" + rows)
+    assert main(["km", "--in", str(path), "--out", str(tmp_path / "km.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pwexp km: error: ") and problem in err
+    assert "Traceback" not in err
+
+
 def test_km_matches_km_fit(workdir, cut_sample):
     out = workdir / "km.csv"
     assert main(["km", "--in", str(workdir / "cut.csv"), "--out", str(out)]) == 0
@@ -177,6 +200,24 @@ def test_boot_then_predict_matches_library(workdir, cut_sample):
         np.testing.assert_array_equal(_floats(cols[name]), ref[:, j])
 
 
+def test_predict_with_monthly_counts_matches_library(workdir, cut_sample):
+    model = workdir / "fit_exp.json"
+    res = pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED))
+    res.save_json(model)
+    out = workdir / "accrual.csv"
+    assert main(["predict", "--in", str(workdir / "cut.csv"), "--model", str(model),
+                 "--analysis_time", str(CUT), "--n_remaining", "6", "--monthly_counts", "2,0,3,4",
+                 "--n_each", "20", "--kind", "predictive", "--eval_at", "21,22.5,24,30",
+                 "--seed", str(SEED), "--out", str(out)]) == 0
+    plan = pw.AccrualPlan(n_remaining=6, monthly_counts=(2, 0, 3, 4))
+    ens = pw.predict_events(res, None, pw.TrialSnapshot.from_cut_sample(cut_sample, CUT, plan),
+                            n_each=20, seed=SEED)
+    ref = pw.event_interval(ens, [21.0, 22.5, 24.0, 30.0], kind="predictive")
+    cols = _columns(out)
+    for j, name in enumerate(("time", "n_event", "lower", "upper")):
+        np.testing.assert_array_equal(_floats(cols[name]), ref[:, j])
+
+
 def test_followup_matches_sim_followup(workdir):
     out = workdir / "followup.csv"
     argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",
@@ -201,6 +242,12 @@ def test_dist_matches_survival(workdir):
     cols = _columns(out)
     model = pw.PweModel((0.1, 0.2), (5.0,))
     assert np.array_equal(_floats(cols["value"]), dist.survival(model, np.array([1.0, 7.0])))
+    assert main(["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "0.5,1", "--quantile",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes().endswith(b"\r\n1.0,Inf\r\n")
+    cols = _columns(out)
+    assert np.array_equal(_floats(cols["at"]), [0.5, 1.0])
+    assert np.array_equal(_floats(cols["value"]), dist.quantile(model, np.array([0.5, 1.0])))
 
 
 def test_write_table_cell_rule(tmp_path):

@@ -77,7 +77,8 @@ class TestDensity:
     def test_integrates_to_one(self):
         hi = quantile(M3, 0.999999)
         ts = np.linspace(0.0, hi, 400001)
-        integral = np.trapezoid(density(M3, ts), ts)
+        f = density(M3, ts)
+        integral = np.sum((f[1:] + f[:-1]) * np.diff(ts)) / 2.0  # trapezoid rule
         assert integral == pytest.approx(1.0, abs=1e-4)
 
 

@@ -11,8 +11,10 @@ from pwexp.errors import EmptyPieceError, NoFeasibleModelError
 from pwexp.estimation import (
     _LineSums,
     _TOL_FRAC,
+    _candidate_values,
     _profile,
     _run_segmented,
+    _snap_row,
     FitConfig,
     FitResult,
     fit,
@@ -333,8 +335,9 @@ def line_cases(draw):
 def test_line_sums_match_lstsq(case):
     # the batched normal equations square the design's condition number,
     # so the oracle holds on well-posed designs; a threshold past the last
-    # point leaves an empty column, where lstsq's minimum-norm solution
-    # gives a zero coefficient
+    # point leaves an empty column, where the minimum-norm solution gives a
+    # zero coefficient (lstsq over the whole design returns rounding noise
+    # there, amplified by any nearly empty column, so it solves the live ones)
     x, y, ramps, steps = case
     coef, sse = _LineSums(x, y).solve(ramps, steps)
     checked = 0
@@ -343,9 +346,10 @@ def test_line_sums_match_lstsq(case):
         live = D.any(axis=0)
         if np.linalg.cond(D[:, live] / np.linalg.norm(D[:, live], axis=0)) >= 1e3:
             continue
-        ref, *_ = np.linalg.lstsq(D, y, rcond=None)
+        ref = np.zeros(D.shape[1])
+        ref[live] = np.linalg.lstsq(D[:, live], y, rcond=None)[0]
         assert np.all(np.abs(coef[b] - ref) <= 1e-8 * np.abs(ref).max())
-        assert np.all(np.abs(coef[b, ~live] - ref[~live]) <= 1e-10)
+        assert np.all(coef[b, ~live] == 0.0)
         assert sse[b] == pytest.approx(float(np.sum((y - D @ ref) ** 2)), rel=1e-8)
         checked += 1
     assume(checked)
@@ -525,6 +529,25 @@ class TestFitHybrid:
             assert hyb.loglik >= ref.loglik - 1e-9
             wins += 1
         assert wins >= 10
+
+    @pytest.mark.parametrize("max_set", [2, 30])
+    def test_capped_candidate_rows(self, scenario_train, max_set):
+        # the 18 x 6 candidate sets: at max_set 2 their product exceeds
+        # 4 * max_set, so max_set random picks are drawn from each set; at
+        # max_set 30 the product's ordered rows are subsampled to max_set
+        d = scenario_train
+        cfg = FitConfig(nbreak=2, optimizer="hybrid", max_set=max_set, seed=7)
+        res = fit_hybrid(d, cfg)
+        product = int(np.prod(res.diagnostics["candidate_set_sizes"]))
+        assert product > max_set and (product > 4 * max_set) == (max_set == 2)
+        assert res.diagnostics["n_rows"] <= max_set + 1
+        view = _Sorted(d)
+        ll, feasible = _profile(view, np.array([res.model.breakpoints]), cfg.min_pt_tail)
+        assert feasible[0] and ll[0] == pytest.approx(res.loglik, rel=1e-12)
+        snapped = _snap_row(_candidate_values(view, cfg), res.diagnostics["ols_breakpoints"])
+        snapped_ll, snapped_feasible = _profile(view, snapped[None, :], cfg.min_pt_tail)
+        assert snapped_feasible[0] and res.loglik >= snapped_ll[0] - 1e-9
+        assert fit_hybrid(d, cfg).to_dict() == res.to_dict()
 
     def test_never_beats_exhaustive_on_tiny_data(self):
         rng = np.random.default_rng(42)

@@ -44,6 +44,15 @@ def _assert_same(a: pr.PredictionEnsemble, b: pr.PredictionEnsemble):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_accrual_plan_months():
+    plan = pw.AccrualPlan(n_remaining=6, monthly_counts=(2, 0, 3, 4))
+    assert plan.last_month == 4.0
+    times = plan.draw_times(10.0, np.random.default_rng(0))
+    assert np.floor(times - 10.0).tolist() == [0, 0, 2, 2, 2, 3]
+    assert pw.AccrualPlan(n_remaining=60, rate=15.0).last_month == 4.0
+    assert pw.AccrualPlan(n_remaining=61, rate=15.0).last_month == 5.0
+
+
 class TestExponentialOracle:
     """Constant event hazard LAM and censoring hazard MU, at-risk subjects
     only: by memorylessness subject i has an observed event by calendar time

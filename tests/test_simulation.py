@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +34,33 @@ class TestSimFollowupThreads:
         design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=lambda n, rng: rng.exponential(10.0, n)))
         res = sim_followup(design, at=[5.0], stats=[np.mean], rep=2, seed=0, threads=1)
         assert res.overall[0]["subjects"] == 50.0
+
+
+def test_n_rand_counts_fill_their_months():
+    design = pw.TrialDesign(n_rand=(3, 0, 5), dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    frame = pw.simulate_trial(design, seed=4)
+    assert np.floor(frame.randT).tolist() == [0, 0, 0, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("kind, column", [("event", "event"), ("sample", "subjects")])
+def test_count_milestone_is_reached_exactly(kind, column):
+    # the cut is the k-th event (or randomization) time, so every replicate
+    # counts exactly k at milestone k
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sim_followup(design, at=[1, 7, 20], type=kind, by_group=True, rep=5, seed=3)
+    assert [row[column] for row in res.overall] == [1.0, 7.0, 20.0]
+    assert res.n_unreached == 0
+
+
+def test_milestone_beyond_trial_warns():
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    with pytest.warns(UserWarning, match="3 replicate-milestone pairs never reached"):
+        res = sim_followup(design, at=[5, 61], type="sample", rep=3, seed=3)
+    assert res.n_unreached == 3
+    # the unreached milestone reports the end-of-horizon state: every subject
+    assert [row["subjects"] for row in res.overall] == [5.0, 60.0]
 
 
 @st.composite

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pwexp.survdata import SurvSample, cut_data, km_fit, read_survival_csv
+
+from conftest import assert_same_sample, reference_read_survival_csv
 
 
 def ecdf_survival(times: np.ndarray, t: float) -> float:
@@ -188,3 +192,110 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="missing columns"):
             read_survival_csv(path, time_col="t", event_col="b")
+
+    def test_empty_file_reported(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty CSV"):
+            read_survival_csv(path)
+
+    def test_header_only_is_empty_sample(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("ID,time,event,why\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = read_survival_csv(path, censor_reason_col="why", id_col="ID")
+        assert len(s) == 0 and s.time.dtype == float and s.event.dtype == np.int8
+        assert len(s.censor_reason) == 0 and len(s.ids) == 0
+
+    @pytest.mark.parametrize("text", [
+        "time,event\n1.5,1\n2.0\n",  # a row too short for the event column
+        "time,event\n1.5,256\n",
+        "time,event\n1.5,1.5\n",
+        "time,event\n1.5,NA\n",
+        "time,event\nNA,1\n",
+        "time,event\n1.5 2,1\n",
+    ])
+    def test_malformed_cell_raises_value_error(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="d.csv"):
+            read_survival_csv(path)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('time,event,ID,why\n1.5,1,#3,#a\n2.5,0,"#4,x", # b \n')
+        s = read_survival_csv(path, id_col="ID", censor_reason_col="why")
+        assert list(s.ids) == ["#3", "#4,x"] and list(s.censor_reason) == ["#a", "# b"]
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "t.csv"
+
+
+def _quoted(draw, text: str) -> str:
+    # a cell must be quoted when it holds a delimiter, a quote or a line end
+    if any(c in text for c in ',"\r\n') or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_INF = st.sampled_from(["Inf", "inf", "INF", "Infinity", "infinity"])
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, np.inf])
+_TEXT = st.lists(st.sampled_from(list('ab_1#., "\t\n') + ["\r\n", "NA"]), max_size=6).map("".join)
+
+
+def _float_cell(draw, x: float) -> str:
+    if np.isinf(x):
+        text = draw(st.sampled_from(["-"] if x < 0 else ["", "+"])) + draw(_INF)
+    else:
+        text = draw(st.sampled_from([repr(x), f"{x:.17e}"]))
+    return _quoted(draw, draw(_PAD) + text + draw(_PAD))
+
+
+@st.composite
+def survival_tables(draw):
+    """CSV text of a survival table in the many forms the cell rule allows,
+    and the columns to ask for: (text, keyword arguments)."""
+    n = draw(st.integers(0, 12))
+    time = [draw(st.floats(min_value=0.0) | _SPECIAL) for _ in range(n)]
+    other = lambda: [draw(st.floats(allow_nan=False) | _SPECIAL.map(lambda v: -v)) for _ in range(n)]
+    reason = [draw(st.sampled_from(["", "NA", " NA ", "drop_out", " cut"]) | _TEXT) for _ in range(n)]
+    reason = [" never_event" if np.isinf(t) else r for t, r in zip(time, reason)]
+    cells = {
+        "time": [_float_cell(draw, t) for t in time],
+        "event": [_quoted(draw, draw(st.sampled_from(["0", "1", "1.0", "-0", " 1 ", "0.0"])))
+                  for _ in range(n)],
+        "rand time": [_float_cell(draw, x) for x in other()],
+        "fab": [_float_cell(draw, x) for x in other()],
+        "why": [_quoted(draw, r) for r in reason],
+        "ID": [_quoted(draw, draw(_TEXT)) for _ in range(n)],
+        "x,extra": [_quoted(draw, draw(_TEXT)) for _ in range(n)],
+        "junk": [_quoted(draw, draw(st.sampled_from(["abc", "", "#3", "NA"]))) for _ in range(n)],
+    }
+    names = draw(st.permutations(list(cells)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(_quoted(draw, c) if "," in c else c for c in names)]
+    lines += [",".join(cells[c][i] for c in names) for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    kw = dict(time_col="time", event_col="event")
+    for key, col in (("rand_time_col", "rand time"), ("follow_abs_time_col", "fab"),
+                     ("censor_reason_col", "why"), ("id_col", "ID")):
+        if draw(st.booleans()):
+            kw[key] = col
+    if np.isinf(time).any():  # an infinite time needs its never_event reason
+        kw["censor_reason_col"] = "why"
+    return text, kw
+
+
+@settings(max_examples=200, deadline=None)
+@given(survival_tables())
+def test_reads_as_row_wise_reference(table_path, table):
+    text, kw = table
+    table_path.write_bytes(text.encode())
+    assert_same_sample(read_survival_csv(table_path, **kw),
+                       reference_read_survival_csv(table_path, **kw))
