@@ -99,16 +99,13 @@ def _add_data_flags(p: argparse.ArgumentParser, calendar: bool = False):
         p.add_argument("--id-col", default="ID")
 
 
-def _read_data(args, calendar: bool = False):
-    kw = dict(time_col=args.time_col, event_col=args.event_col)
-    if calendar:
-        kw.update(
-            rand_time_col=args.rand_time_col,
-            follow_abs_time_col=args.follow_abs_time_col,
-            censor_reason_col=args.censor_reason_col,
-            id_col=args.id_col,
-        )
-    return read_survival_csv(args.infile, **kw)
+_CALENDAR_COLS = ("rand_time_col", "follow_abs_time_col", "censor_reason_col", "id_col")
+
+
+def _read_data(args, columns=()):
+    """The input sample: time, event and the named optional columns."""
+    kw = {c: getattr(args, c) for c in columns}
+    return read_survival_csv(args.infile, time_col=args.time_col, event_col=args.event_col, **kw)
 
 
 def _add_fitconfig_flags(p: argparse.ArgumentParser):
@@ -236,7 +233,7 @@ def _cmd_simulate(args, argv):
 
 
 def _cmd_cut(args, argv):
-    data = _read_data(args, calendar=True)
+    data = _read_data(args, _CALENDAR_COLS)
     out = cut_data(data, args.cut)
     write_table(args.out, {
         args.id_col: out.ids if out.ids is not None else np.arange(1, len(out) + 1),
@@ -293,7 +290,9 @@ def _cmd_cv(args, argv):
 
 
 def _cmd_predict(args, argv):
-    data = _read_data(args, calendar=True)
+    # what TrialSnapshot.from_cut_sample reads; --id-col and
+    # --follow-abs-time-col are accepted but not needed
+    data = _read_data(args, ("rand_time_col", "censor_reason_col"))
     accrual = None
     if args.n_remaining:
         accrual = AccrualPlan(

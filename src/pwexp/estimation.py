@@ -445,13 +445,14 @@ _MAX_GRAM_COND = 1e12
 
 
 class _LineSums:
-    """Batched least squares of y on [x, ramps (x - a)_+, steps 1(x > a)].
+    """Batched least squares of y on [x, ramps (x - a)_+, steps 1(x > a)],
+    for one or more lines (x, y), sorted by x, stacked in one table.
 
     Every such column vanishes up to its threshold and is linear past it,
     so each Gram entry and right-hand side is a sum over the points past
     the larger of two thresholds. Written around the first such point x_j,
     it combines suffix sums of 1, y', (x - x_j), (x - x_j)^2 and
-    (x - x_j) y', built once over the sorted points by recurrences of
+    (x - x_j) y', built once per line over its points by recurrences of
     non-negative terms; with x >= 0 every Gram entry is then a sum of
     non-negative terms too, free of cancellation. The response is shifted
     to y' = y - b0*x, b0 being the slope through the origin: x is a column
@@ -461,30 +462,56 @@ class _LineSums:
     from an explicit fit.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        m = len(x)
-        self.x, self.y = x, y
-        self.b0 = float(x @ y) / float(x @ x)
-        yp = y - self.b0 * x
-        self.yy = float(yp @ yp)
+    def __init__(self, lines: Sequence[tuple[np.ndarray, np.ndarray]]):
+        self.lines = list(lines)
+        xs = [x for x, _ in self.lines]
+        self.first = np.array([x[0] for x in xs])
+        self.last = np.array([x[-1] for x in xs])
+        # line p owns table columns base[p] .. base[p] + m_p (the last one
+        # past its points); rank[p, g] is the column of its first point past
+        # the g-th smallest x of all lines (g = 0: before them all), so one
+        # searchsorted on the merged grid locates a threshold in any line
+        ends = np.cumsum([len(x) + 1 for x in xs])
+        self.base = ends - [len(x) + 1 for x in xs]
+        self.grid = np.unique(np.concatenate(xs))
+        self.rank = np.zeros((len(xs), len(self.grid) + 1), dtype=np.intp)
+        for p, x in enumerate(xs):
+            self.rank[p, 1:] = np.searchsorted(x, self.grid, side="right")
+        self.rank += self.base[:, None]
+        # rows x_j, t2, t1, s0, sy, t1y, filled one line at a time
+        self.table = np.empty((6, ends[-1]))
+        self.b0, self.yy = np.empty(len(xs)), np.empty(len(xs))
+        for p, (x, y) in enumerate(self.lines):
+            self.b0[p], self.yy[p] = self._fill(x, y, self.table[:, self.base[p] : ends[p]])
 
-        def suffix(v):
-            return np.append(np.cumsum(v[::-1])[::-1], np.zeros(m + 1 - len(v)))
+    @staticmethod
+    def _fill(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+        """Write one line's suffix sums into ``out``; returns (b0, y'y')."""
+        m = len(x)
+        b0 = float(x @ y) / float(x @ x)
+        yp = y - b0 * x
+
+        def suffix(v, row):
+            row[: len(v)] = np.cumsum(v[::-1])[::-1]
+            row[len(v) :] = 0.0
 
         # sums over the points from x[j] on: s0 counts them, t1 sums
         # x - x[j], t2 (x - x[j])^2, sy y' and t1y (x - x[j]) y'; m is empty
+        xj, t2, t1, s0, sy, t1y = out
         gap = np.diff(x)
         beyond = np.arange(m - 1, 0, -1.0)  # points past x[j + 1]
-        s0 = np.arange(m, -1, -1.0)
-        t1 = suffix(beyond * gap)
-        t2 = suffix(gap * (2.0 * t1[1:m] + beyond * gap))
-        self.sy = suffix(yp)
-        self.t1y = suffix(gap * self.sy[1:m])
-        self.table = np.stack([np.append(x, x[-1]), t2, t1, s0])
+        xj[:m], xj[m] = x, x[-1]
+        s0[:] = np.arange(m, -1, -1.0)
+        suffix(beyond * gap, t1)
+        suffix(gap * (2.0 * t1[1:m] + beyond * gap), t2)
+        suffix(yp, sy)
+        suffix(gap * sy[1:m], t1y)
+        return b0, float(yp @ yp)
 
-    def solve(self, ramps: np.ndarray, steps: np.ndarray | None = None):
+    def solve(self, ramps: np.ndarray, steps: np.ndarray | None = None, line: np.ndarray | None = None):
         """(coef, sse) for one design per row of ``ramps`` (B, R) and
-        ``steps`` (B, S) thresholds; coef columns are [x, ramps, steps].
+        ``steps`` (B, S) thresholds, on line ``line[b]`` (default line 0);
+        coef columns are [x, ramps, steps].
 
         A column with no point past its threshold gets a zero coefficient,
         the minimum-norm solution that ``lstsq`` gives; a system conditioned
@@ -493,20 +520,22 @@ class _LineSums:
         n, n_ramp = ramps.shape
         if steps is None:
             steps = np.empty((n, 0))
+        if line is None:
+            line = np.zeros(n, dtype=np.intp)
         offset = np.concatenate([np.zeros((n, 1)), ramps, steps], axis=1)
         r = np.zeros(offset.shape[1])
         r[: 1 + n_ramp] = 1.0
-        j = np.searchsorted(self.x, offset, side="right")
-        j[:, 0] = 0
+        j = self.rank[line[:, None], np.searchsorted(self.grid, offset, side="right")]
+        j[:, 0] = self.base[line]
         jj = np.maximum(j[:, :, None], j[:, None, :])
-        xj, t2, t1, s0 = self.table[:, jj]
+        xj, t2, t1, s0 = self.table[:4, jj]
         # past x_j a column is r*(x - x_j) + kappa: x and ramps have r = 1
         # and kappa = x_j - offset >= 0, steps r = 0 and kappa = 1
         kap = r[:, None] * (xj - offset[:, :, None]) + (1.0 - r[:, None])
         kap_t = kap.transpose(0, 2, 1)
         gram = (r[:, None] * r) * t2 + (r[:, None] * kap_t + r * kap) * t1 + (kap * kap_t) * s0
         kap_j = np.diagonal(kap, axis1=1, axis2=2)
-        rhs = r * self.t1y[j] + kap_j * self.sy[j]
+        rhs = r * self.table[5, j] + kap_j * self.table[4, j]
         # unit-diagonal scaling; a column with no point past its threshold
         # becomes a unit row with a zero right-hand side, so a zero coefficient
         diag = np.diagonal(gram, axis1=1, axis2=2)
@@ -517,10 +546,11 @@ class _LineSums:
         good = eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
         scaled[~good] = np.eye(len(r))  # solved below by lstsq instead
         coef = s * np.linalg.solve(scaled, (s * rhs)[:, :, None])[:, :, 0]
-        sse = self.yy - np.einsum("bi,bi->b", coef, rhs)
-        coef[:, 0] += self.b0
+        sse = self.yy[line] - np.einsum("bi,bi->b", coef, rhs)
+        coef[:, 0] += self.b0[line]
         for i in np.flatnonzero(~good):
-            coef[i], sse[i] = _lstsq_fit(self.y, _segmented_design(self.x, ramps[i], steps[i]))
+            x, y = self.lines[line[i]]
+            coef[i], sse[i] = _lstsq_fit(y, _segmented_design(x, ramps[i], steps[i]))
         return coef, sse
 
 
@@ -553,26 +583,51 @@ def fit_segmented_line(
         return SegmentedFit((), *_explicit_fit(x, y, fixed_psi, ()), True, 0)
     if rng is None:
         rng = np.random.default_rng(0)
-    span = x[-1] - x[0]
-    starts = [np.quantile(x, (np.arange(npsi) + 1) / (npsi + 1))]
-    for _ in range(_N_RESTARTS - 1):
-        starts.append(np.quantile(x, np.sort(rng.uniform(0.05, 0.95, size=npsi))))
+    return _segmented_fits([(x, y, fixed_psi, _segmented_starts(x, npsi, rng))])[0]
+
+
+def _segmented_starts(x: np.ndarray, npsi: int, rng: np.random.Generator) -> np.ndarray:
+    """The starts of the segmented iteration on sorted ``x``, one per row:
+    breaks at equally spaced quantiles, then ``_N_RESTARTS - 1`` rows at
+    random quantiles, drawn in one call."""
+    q = np.vstack([
+        (np.arange(npsi) + 1) / (npsi + 1),
+        np.sort(rng.uniform(0.05, 0.95, size=(_N_RESTARTS - 1, npsi)), axis=1),
+    ])
+    return np.sort(np.quantile(x, q), axis=1)
+
+
+def _segmented_fits(problems) -> list[SegmentedFit]:
+    """The :class:`SegmentedFit` of each problem (x sorted, y, fixed breaks,
+    starts), with every start of every problem in one lockstep. The
+    problems share their numbers of free and of fixed breaks; each result
+    is the one the problem would get on its own."""
+    sums = _LineSums([(x, y) for x, y, _, _ in problems])
+    line = np.repeat(np.arange(len(problems)), [len(starts) for *_, starts in problems])
+    fixed = np.concatenate([np.tile(np.asarray(f, dtype=float), (len(starts), 1))
+                            for _, _, f, starts in problems])
     psi, sse, converged, n_iter = _run_segmented(
-        _LineSums(x, y), np.sort(starts, axis=1), fixed_psi, _MAX_ITER, _TOL_FRAC * span
+        sums, np.concatenate([starts for *_, starts in problems]), fixed, line=line
     )
-    if not converged.any():
-        return SegmentedFit((), (), 0.0, np.inf, False, _MAX_ITER)
-    best = int(np.argmin(np.where(converged, sse, np.inf)))
-    se, slope, best_sse = _explicit_fit(x, y, fixed_psi, psi[best])
-    return SegmentedFit(
-        psi=tuple(float(p) for p in psi[best]),
-        se=se,
-        slope=slope,
-        sse=best_sse,
-        converged=True,
-        n_iter=int(n_iter[best]),
-        n_starts_converged=int(converged.sum()),
-    )
+    fits = []
+    for p, (x, y, fixed_psi, _) in enumerate(problems):
+        rows = np.flatnonzero(line == p)
+        ok = converged[rows]
+        if not ok.any():
+            fits.append(SegmentedFit((), (), 0.0, np.inf, False, _MAX_ITER))
+            continue
+        best = rows[np.argmin(np.where(ok, sse[rows], np.inf))]
+        se, slope, best_sse = _explicit_fit(x, y, fixed_psi, psi[best])
+        fits.append(SegmentedFit(
+            psi=tuple(float(v) for v in psi[best]),
+            se=se,
+            slope=slope,
+            sse=best_sse,
+            converged=True,
+            n_iter=int(n_iter[best]),
+            n_starts_converged=int(ok.sum()),
+        ))
+    return fits
 
 
 def _lstsq_fit(y, D):
@@ -609,38 +664,45 @@ _TOL_FRAC = 1e-8
 _N_RESTARTS = 5
 
 
-def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
-    """Iterate every start (a row of ``psi``) in lockstep.
+def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed: np.ndarray, max_iter: int = _MAX_ITER,
+                   line: np.ndarray | None = None):
+    """Iterate every start in lockstep: row b of ``psi`` holds its free
+    breaks, row b of ``fixed`` its fixed ones, and ``line[b]`` (default 0)
+    names its line in ``sums``.
 
     Per iteration the active starts share one batched solve for their
     proposals and one batched sum of squares for every candidate of their
     damped line searches; each start takes its first step size whose sum of
-    squares does not rise. A start that stops with a break within ``tol``
-    of a clip bound has not converged: the clip holds that break, and
-    whether its last step passed rests on rounding noise. Returns per start
-    (psi, sse, converged, n_iter).
+    squares does not rise. A start converges when its step falls below
+    ``_TOL_FRAC`` of its line's x span; one that stops with a break within
+    that tolerance of a clip bound has not converged: the clip holds that
+    break, and whether its last step passed rests on rounding noise.
+    Returns per start (psi, sse, converged, n_iter).
     """
-    x = sums.x
     n_start, npsi = psi.shape
-    fixed = np.asarray(fixed_psi, dtype=float)
-    nfix = len(fixed)
-    margin = 1e-9 * (x[-1] - x[0])
-    lo, hi = x[0] + margin, x[-1] - margin
+    if line is None:
+        line = np.zeros(n_start, dtype=np.intp)
+    nfix = fixed.shape[1]
+    span = sums.last[line] - sums.first[line]
+    margin = 1e-9 * span
+    lo, hi = sums.first[line] + margin, sums.last[line] - margin
+    tol = _TOL_FRAC * span
 
-    def with_fixed(p):
+    def with_fixed(p, rows):
         if not nfix:
             return p
-        return np.concatenate([np.broadcast_to(fixed, (*p.shape[:-1], nfix)), p], axis=-1)
+        f = fixed[rows].reshape(len(rows), *[1] * (p.ndim - 2), nfix)
+        return np.concatenate([np.broadcast_to(f, (*p.shape[:-1], nfix)), p], axis=-1)
 
     psi = psi.copy()
-    sse = sums.solve(with_fixed(psi))[1]
+    active = np.arange(n_start)
+    sse = sums.solve(with_fixed(psi, active), line=line)[1]
     converged = np.zeros(n_start, dtype=bool)
     n_iter = np.full(n_start, max_iter)
-    active = np.arange(n_start)
     for it in range(max_iter):
         if not len(active):
             break
-        coef = sums.solve(with_fixed(psi[active]), psi[active])[0]
+        coef = sums.solve(with_fixed(psi[active], active), psi[active], line[active])[0]
         c = coef[:, 1 + nfix : 1 + nfix + npsi]
         g = coef[:, 1 + nfix + npsi :]
         # a vanishing ramp coefficient means that break is unidentified at
@@ -650,11 +712,13 @@ def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
         active, step = active[finite], step[finite]
         # damped line search on the proposal, accepting only SSE progress
         p = psi[active]
-        cand = np.sort(np.clip(p[:, None, :] - _STEP_SIZES[:, None] * step[:, None, :], lo, hi), axis=2)
-        valid = (np.diff(np.sort(with_fixed(cand), axis=2), axis=2) > 0.0).all(axis=2)
+        cand = np.sort(np.clip(p[:, None, :] - _STEP_SIZES[:, None] * step[:, None, :],
+                               lo[active, None, None], hi[active, None, None]), axis=2)
+        ramps = with_fixed(cand, active)
+        valid = (np.diff(np.sort(ramps, axis=2), axis=2) > 0.0).all(axis=2)
         cand_sse = np.full(valid.shape, np.inf)
         if valid.any():
-            cand_sse[valid] = sums.solve(with_fixed(cand[valid]))[1]
+            cand_sse[valid] = sums.solve(ramps[valid], line=line[active][valid.nonzero()[0]])[1]
         accept = valid & (cand_sse <= sse[active, None] * (1.0 + 1e-12) + 1e-300)
         moved = accept.any(axis=1)
         rows = np.arange(len(active))
@@ -662,11 +726,12 @@ def _run_segmented(sums: _LineSums, psi: np.ndarray, fixed_psi, max_iter, tol):
         delta = np.max(np.abs(cand[rows, h] - p), axis=1)
         psi[active[moved]] = cand[rows, h][moved]
         sse[active[moved]] = cand_sse[rows, h][moved]
-        done = ~moved | (delta < tol)
-        converged[active[done]] = np.where(moved, delta < tol, np.max(np.abs(step), axis=1) < tol)[done]
+        t = tol[active]
+        done = ~moved | (delta < t)
+        converged[active[done]] = np.where(moved, delta < t, np.max(np.abs(step), axis=1) < t)[done]
         n_iter[active[done]] = it + 1
         active = active[~done]
-    clipped = (np.minimum(psi - lo, hi - psi) <= tol).any(axis=1)
+    clipped = (np.minimum(psi - lo[:, None], hi[:, None] - psi) <= tol[:, None]).any(axis=1)
     return psi, sse, converged & ~clipped, n_iter
 
 
@@ -675,49 +740,125 @@ def _screen_sse(x, y, B: np.ndarray) -> np.ndarray:
     of ``B``: screened from the sums, then every row within a band of the
     best one re-scored by ``lstsq``. The band is wider than the screen's
     error, so the best row and its score are those of ``lstsq`` alone."""
-    sums = _LineSums(x, y)
+    sums = _LineSums([(x, y)])
     # blocks of rows bound the solver's temporaries
     sse = np.concatenate([sums.solve(B[i : i + 1024])[1] for i in range(0, len(B), 1024)])
-    near = np.flatnonzero(sse <= sse.min() + 1e-3 * abs(sse.min()) + 1e-9 * sums.yy)
+    near = np.flatnonzero(sse <= sse.min() + 1e-3 * abs(sse.min()) + 1e-9 * sums.yy[0])
     sse[near] = [_lstsq_fit(y, _segmented_design(x, B[i]))[1] for i in near]
     return sse
 
 
-def _ols_search(view: _Sorted, config: FitConfig):
-    """Change-points by segmented least squares on the log KM curve.
+class _OlsSearch:
+    """Change-points by segmented least squares on the log KM curve, split
+    around the segmented regression so that a batch of samples can run
+    theirs in one lockstep (:func:`_fit_batch`).
 
-    The segmented solution stands when the search's feasibility rule and
-    ``exclude_int`` accept it; otherwise the shared search picks, among
-    event-time candidates, the feasible row with the smallest sum of
-    squares. Returns (all change-points, the free ones, their standard
-    errors or None after the fallback, the segmented fit, warnings).
+    Construction reads the sample's log KM points (sorted by time). The
+    regression (:meth:`segmented`, or :meth:`problem` for a batch) draws
+    its starts from ``rng``, which a grid fallback then continues.
+    :meth:`ols_result` and :meth:`hybrid_result` finish the fit from the
+    regression's result.
     """
-    x, y = view.km().log_points()
-    if len(x) < 2 * (config.nbreak + 1):
-        raise NoFeasibleModelError(
-            f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(x)}"
-        )
-    fixed = config.fixed_breakpoints
-    free = config.nbreak - len(fixed)
-    rng = derive_rng(config.seed, 202)
-    seg = fit_segmented_line(x, y, free, fixed, rng=rng)
-    if free == 0:
-        return np.asarray(fixed), [], [], seg, []
-    if seg.converged:
-        row = _merge_fixed(np.array([seg.psi]), fixed)
-        lo, hi = config.exclude_int or (np.inf, np.inf)
-        if _profile(view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
-            return row[0], list(seg.psi), list(seg.se), seg, []
-        reason = "segmented solution violated feasibility constraints"
-    else:
-        reason = "segmented regression did not converge"
-    cands = _candidate_values(view, config)
-    if len(cands) < free:
-        raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
-    rows = _candidate_combos(cands, free, config.max_set, rng)
-    score = lambda B: -_screen_sse(x, y, B)
-    B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
-    return B[i], [float(p) for p in rows[i]], None, seg, [f"{reason}; grid fallback used"]
+
+    def __init__(self, data: SurvSample, config: FitConfig):
+        self.data, self.config = data, config
+        self.view = _Sorted(data)
+        self.x, self.y = self.view.km().log_points()
+        if len(self.x) < 2 * (config.nbreak + 1):
+            raise NoFeasibleModelError(
+                f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(self.x)}"
+            )
+        self.free = config.nbreak - len(config.fixed_breakpoints)
+        self.rng = derive_rng(config.seed, 202)
+
+    def segmented(self) -> SegmentedFit:
+        return fit_segmented_line(self.x, self.y, self.free, self.config.fixed_breakpoints, rng=self.rng)
+
+    def problem(self):
+        """The regression as one problem of :func:`_segmented_fits`."""
+        return self.x, self.y, self.config.fixed_breakpoints, _segmented_starts(self.x, self.free, self.rng)
+
+    def breakpoints(self, seg: SegmentedFit):
+        """The segmented solution stands when the search's feasibility rule
+        and ``exclude_int`` accept it; otherwise the shared search picks,
+        among event-time candidates, the feasible row with the smallest sum
+        of squares. Returns (all change-points, the free ones, their
+        standard errors or None after the fallback, warnings)."""
+        config, fixed, free = self.config, self.config.fixed_breakpoints, self.free
+        if free == 0:
+            return np.asarray(fixed), [], [], []
+        if seg.converged:
+            row = _merge_fixed(np.array([seg.psi]), fixed)
+            lo, hi = config.exclude_int or (np.inf, np.inf)
+            if _profile(self.view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
+                return row[0], list(seg.psi), list(seg.se), []
+            reason = "segmented solution violated feasibility constraints"
+        else:
+            reason = "segmented regression did not converge"
+        cands = _candidate_values(self.view, config)
+        if len(cands) < free:
+            raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
+        rows = _candidate_combos(cands, free, config.max_set, self.rng)
+        score = lambda B: -_screen_sse(self.x, self.y, B)
+        B, i, _ = _search(self.view, rows, config, "OLS fallback combination", score=score)
+        return B[i], [float(p) for p in rows[i]], None, [f"{reason}; grid fallback used"]
+
+    def ols_result(self, seg: SegmentedFit) -> FitResult:
+        bps, psi, se, warnings = self.breakpoints(seg)
+        res = mle_given_breakpoints(bps, self.data)
+        res.optimizer = "ols"
+        res.warnings = warnings
+        res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
+                           "segmented_converged": seg.converged, **_segmented_record(seg)}
+        return res
+
+    def hybrid_result(self, seg: SegmentedFit) -> FitResult:
+        """See :func:`fit_hybrid`."""
+        config, view = self.config, self.view
+        _, psi, se, warnings = self.breakpoints(seg)
+        cands = _candidate_values(view, config)
+        if len(cands) < self.free:
+            raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
+        spacing = (cands[-1] - cands[0]) / max(len(cands) - 1, 1) if len(cands) > 1 else 1.0
+        rng = derive_rng(config.seed, 303)
+
+        sets: list[np.ndarray] = []
+        for k, p in enumerate(psi):
+            s_k = se[k] if se is not None else np.nan
+            win = 1.96 * s_k if np.isfinite(s_k) and s_k > 0.0 else 3.0 * spacing
+            inside = cands[(cands >= p - win) & (cands <= p + win)]
+            if len(inside) < 3:
+                inside = _nearest(cands, p, k=min(3, len(cands)))
+            sets.append(inside)
+
+        total = int(np.prod([len(s) for s in sets], dtype=object))
+        if total <= 4 * config.max_set:
+            rows = np.array(list(itertools.product(*sets)), dtype=float)
+        else:
+            picks = [s[rng.integers(0, len(s), size=config.max_set)] for s in sets]
+            rows = np.column_stack(picks)
+        rows = rows[(np.diff(rows, axis=1) > 0.0).all(axis=1)]
+        if len(rows) > config.max_set:
+            sel = np.sort(rng.choice(len(rows), size=config.max_set, replace=False))
+            rows = rows[sel]
+        snapped = _snap_row(cands, psi)
+        if snapped is not None:
+            rows = np.vstack([rows, snapped[None, :]]) if len(rows) else snapped[None, :]
+        if len(rows) == 0:
+            raise NoFeasibleModelError("hybrid candidate set is empty")
+
+        B, i, _ = _search(view, rows, config, "hybrid candidate row")
+        res = mle_given_breakpoints(B[i], self.data)
+        res.optimizer = "hybrid"
+        res.warnings = warnings
+        res.diagnostics = {
+            "n_rows": int(len(B)),
+            "ols_breakpoints": psi,
+            "ols_se": se,
+            "candidate_set_sizes": [int(len(s)) for s in sets],
+            **_segmented_record(seg),
+        }
+        return res
 
 
 def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
@@ -738,13 +879,8 @@ def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
     grid fallback finds no feasible combination.
     """
     _check_sample(data)
-    bps, psi, se, seg, warnings = _ols_search(_Sorted(data), config)
-    res = mle_given_breakpoints(bps, data)
-    res.optimizer = "ols"
-    res.warnings = warnings
-    res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
-                       "segmented_converged": seg.converged, **_segmented_record(seg)}
-    return res
+    search = _OlsSearch(data, config)
+    return search.ols_result(search.segmented())
 
 
 def _segmented_record(seg: SegmentedFit) -> dict:
@@ -788,58 +924,28 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     ``ValueError`` when no change-point is left to search.
     """
     _check_sample(data)
-    free = config.nbreak - len(config.fixed_breakpoints)
-    if free < 1:
+    if config.nbreak - len(config.fixed_breakpoints) < 1:
         raise ValueError("fit_hybrid requires at least one unknown change-point")
-    view = _Sorted(data)
-    _, psi, se, seg, warnings = _ols_search(view, config)
-    cands = _candidate_values(view, config)
-    if len(cands) < free:
-        raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
-    spacing = (cands[-1] - cands[0]) / max(len(cands) - 1, 1) if len(cands) > 1 else 1.0
-    rng = derive_rng(config.seed, 303)
-
-    sets: list[np.ndarray] = []
-    for k, p in enumerate(psi):
-        s_k = se[k] if se is not None else np.nan
-        win = 1.96 * s_k if np.isfinite(s_k) and s_k > 0.0 else 3.0 * spacing
-        inside = cands[(cands >= p - win) & (cands <= p + win)]
-        if len(inside) < 3:
-            inside = _nearest(cands, p, k=min(3, len(cands)))
-        sets.append(inside)
-
-    total = int(np.prod([len(s) for s in sets], dtype=object))
-    if total <= 4 * config.max_set:
-        rows = np.array(list(itertools.product(*sets)), dtype=float)
-    else:
-        picks = [s[rng.integers(0, len(s), size=config.max_set)] for s in sets]
-        rows = np.column_stack(picks)
-    rows = rows[(np.diff(rows, axis=1) > 0.0).all(axis=1)]
-    if len(rows) > config.max_set:
-        sel = np.sort(rng.choice(len(rows), size=config.max_set, replace=False))
-        rows = rows[sel]
-    snapped = _snap_row(cands, psi)
-    if snapped is not None:
-        rows = np.vstack([rows, snapped[None, :]]) if len(rows) else snapped[None, :]
-    if len(rows) == 0:
-        raise NoFeasibleModelError("hybrid candidate set is empty")
-
-    B, i, _ = _search(view, rows, config, "hybrid candidate row")
-    res = mle_given_breakpoints(B[i], data)
-    res.optimizer = "hybrid"
-    res.warnings = warnings
-    res.diagnostics = {
-        "n_rows": int(len(B)),
-        "ols_breakpoints": psi,
-        "ols_se": se,
-        "candidate_set_sizes": [int(len(s)) for s in sets],
-        **_segmented_record(seg),
-    }
-    return res
+    search = _OlsSearch(data, config)
+    return search.hybrid_result(search.segmented())
 
 
 # ---------------------------------------------------------------------------
 # front door
+
+
+def _clean_fixed(data: SurvSample, config: FitConfig) -> tuple[FitConfig, list[str]]:
+    """The config with its fixed change-points cleaned by
+    :func:`validate_breakpoints`, and the cleaning's warnings."""
+    if not config.fixed_breakpoints:
+        return config, []
+    cleaned, warnings = validate_breakpoints(config.fixed_breakpoints, data)
+    if cleaned == config.fixed_breakpoints:
+        return config, warnings
+    # cleaning shrinks the pinned set; the number of searched change-points
+    # stays what the caller asked for
+    free = config.nbreak - len(config.fixed_breakpoints)
+    return replace(config, fixed_breakpoints=cleaned, nbreak=len(cleaned) + free), warnings
 
 
 def fit(data: SurvSample, config: FitConfig) -> FitResult:
@@ -854,15 +960,7 @@ def fit(data: SurvSample, config: FitConfig) -> FitResult:
     :class:`NoFeasibleModelError`.
     """
     _check_sample(data)
-    warnings: list[str] = []
-    cfg = config
-    if config.fixed_breakpoints:
-        cleaned, warnings = validate_breakpoints(config.fixed_breakpoints, data)
-        if cleaned != config.fixed_breakpoints:
-            # cleaning shrinks the pinned set; the number of searched
-            # change-points stays what the caller asked for
-            free0 = config.nbreak - len(config.fixed_breakpoints)
-            cfg = replace(config, fixed_breakpoints=cleaned, nbreak=len(cleaned) + free0)
+    cfg, warnings = _clean_fixed(data, config)
     if cfg.nbreak == len(cfg.fixed_breakpoints):
         res = mle_given_breakpoints(cfg.fixed_breakpoints, data)
     elif cfg.optimizer == "bfs":
@@ -873,3 +971,41 @@ def fit(data: SurvSample, config: FitConfig) -> FitResult:
         res = fit_hybrid(data, cfg)
     res.warnings = warnings + res.warnings
     return res
+
+
+def _fit_batch(samples: Sequence[SurvSample], configs: Sequence[FitConfig]) -> list:
+    """:func:`fit` of each sample under its config, with the segmented
+    regressions of all ``ols`` and ``hybrid`` fits in one lockstep per
+    number of free and fixed change-points (cleaning may drop fixed ones).
+
+    Returns per sample its :class:`FitResult`, or the
+    :class:`EmptyPieceError` or :class:`NoFeasibleModelError` that its fit
+    raises; both are identical to :func:`fit`'s. Any other exception
+    propagates.
+    """
+    out: list = [None] * len(samples)
+    groups: dict[tuple[int, int], list] = {}
+    for i, (data, config) in enumerate(zip(samples, configs)):
+        try:
+            if config.optimizer == "bfs" or config.nbreak == len(config.fixed_breakpoints):
+                out[i] = fit(data, config)
+                continue
+            _check_sample(data)
+            cfg, warnings = _clean_fixed(data, config)
+            search = _OlsSearch(data, cfg)
+        except (EmptyPieceError, NoFeasibleModelError) as exc:
+            out[i] = exc
+            continue
+        groups.setdefault((search.free, len(cfg.fixed_breakpoints)), []).append((i, warnings, search))
+    for group in groups.values():
+        segs = _segmented_fits([search.problem() for _, _, search in group])
+        while group:  # a finished search is dropped at once, with its sorted view
+            (i, warnings, search), seg = group.pop(0), segs.pop(0)
+            finish = search.ols_result if search.config.optimizer == "ols" else search.hybrid_result
+            try:
+                out[i] = finish(seg)
+            except (EmptyPieceError, NoFeasibleModelError) as exc:
+                out[i] = exc
+                continue
+            out[i].warnings = warnings + out[i].warnings
+    return out

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import EmptyPieceError, NoFeasibleModelError
-from .estimation import FitConfig, FitResult, fit, loglik
+from .errors import NoFeasibleModelError
+from .estimation import FitConfig, FitResult, _fit_batch, fit, loglik
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, _Sorted, write_table
 
@@ -87,16 +87,36 @@ def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _boot_worker(payload):
-    data, config, seed, b = payload
-    rng = derive_rng(seed, 1, b)
-    idx = _resample_indices(rng, len(data))
-    resampled = data.subset(idx)
-    cfg = replace(config, seed=derive_seed(seed, 2, b))
-    try:
-        return True, fit(resampled, cfg)
-    except (EmptyPieceError, NoFeasibleModelError) as exc:
-        return False, f"replicate {b}: {exc}"
+# Replicates fitted together. A block holds each replicate's sample, sorted
+# view and line sums at once (about 0.4 MB per replicate of 8,000 subjects),
+# so this bounds memory whatever ``nsim``; larger blocks share more of the
+# lockstep's per-iteration cost.
+_BLOCK = 3
+
+
+def _chunks(data: SurvSample, nsim: int, threads: int, *args) -> list:
+    """One payload per worker: the sample's time and event columns only,
+    ``args``, and a contiguous run of replicate numbers."""
+    runs = np.array_split(np.arange(nsim), max(1, min(int(threads), nsim)))
+    return [(data.time, data.event, *args, run) for run in runs]
+
+
+def _blocks(run: np.ndarray):
+    return (run[i : i + _BLOCK] for i in range(0, len(run), _BLOCK))
+
+
+def _boot_chunk(payload) -> list:
+    time, event, config, seed, run = payload
+    out = []
+    for block in _blocks(run):
+        samples = []
+        for b in block:
+            idx = _resample_indices(derive_rng(seed, 1, b), len(time))
+            samples.append(SurvSample(time[idx], event[idx]))
+        configs = [replace(config, seed=derive_seed(seed, 2, b)) for b in block]
+        for b, res in zip(block, _fit_batch(samples, configs)):
+            out.append((True, res) if isinstance(res, FitResult) else (False, f"replicate {b}: {res}"))
+    return out
 
 
 def boot_fit(
@@ -105,16 +125,21 @@ def boot_fit(
     """Fit ``nsim`` case resamples of ``data`` (size n, with replacement).
 
     Replicate b draws its resample and its search stream from child streams
-    of (seed, b), so the result is identical for any worker count.
-    Replicates whose fit raises :class:`EmptyPieceError` or
-    :class:`NoFeasibleModelError` are recorded in ``failures`` and skipped;
-    more than 50% failures raises :class:`NoFeasibleModelError`, as does an
-    infeasible fit on the original data. Any other exception propagates.
+    of (seed, b). Replicates are fitted in blocks, the segmented regressions
+    of a block's ``ols`` or ``hybrid`` fits in one lockstep, and with
+    ``threads`` workers each takes a contiguous run of replicates; every
+    replicate's fit is the one :func:`fit` gives on its resample, so the
+    result is identical for any worker count. Replicates whose fit raises
+    :class:`EmptyPieceError` or :class:`NoFeasibleModelError` are recorded
+    in ``failures`` and skipped; more than 50% failures raises
+    :class:`NoFeasibleModelError`, as does an infeasible fit on the original
+    data. Any other exception propagates.
     """
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
     base = fit(data, config)
-    out = parallel_map(_boot_worker, [(data, config, seed, b) for b in range(nsim)], threads)
+    out = [r for chunk in parallel_map(_boot_chunk, _chunks(data, nsim, threads, config, seed), threads)
+           for r in chunk]
     replicates = [val for ok, val in out if ok]
     failures = [val for ok, val in out if not ok]
     if len(failures) > nsim / 2:
@@ -131,11 +156,11 @@ def boot_fit(
     )
 
 
-def _stratified_split(rng: np.random.Generator, data: SurvSample, frac: float, min_train_events: int):
+def _stratified_split(rng: np.random.Generator, event: np.ndarray, frac: float, min_train_events: int):
     """Hold out ``frac`` of the records, preserving the event/censor mix."""
-    test_mask = np.zeros(len(data), dtype=bool)
+    test_mask = np.zeros(len(event), dtype=bool)
     for value in (1, 0):
-        idx = np.flatnonzero(data.event == value)
+        idx = np.flatnonzero(event == value)
         if len(idx) == 0:
             continue
         n_test = int(round(frac * len(idx)))
@@ -145,26 +170,42 @@ def _stratified_split(rng: np.random.Generator, data: SurvSample, frac: float, m
         test_mask[rng.permutation(idx)[:n_test]] = True
     if not test_mask.any():
         # tiny samples: always hold out something so the value is defined
-        test_mask[int(rng.integers(0, len(data)))] = True
+        test_mask[int(rng.integers(0, len(event)))] = True
     return test_mask
 
 
-def _cv_worker(payload):
-    data, config, seed, i, frac = payload
-    rng = derive_rng(seed, 3, i)
-    min_train_events = config.nbreak + 1
-    for attempt in range(6):
-        test_mask = _stratified_split(rng, data, frac, min_train_events)
-        train = data.subset(~test_mask)
-        test = data.subset(test_mask)
-        cfg = replace(config, seed=derive_seed(seed, 4, i, attempt))
-        try:
-            res = fit(train, cfg)
-        except (EmptyPieceError, NoFeasibleModelError) as exc:
-            last = f"{type(exc).__name__}: {exc}"
-            continue
-        return True, loglik(res.model, test)
-    return False, f"repetition {i}: no feasible training fit in 6 draws; last: {last}"
+_CV_DRAWS = 6
+
+
+def _cv_chunk(payload) -> list:
+    """Repetitions in blocks: each draw of a block's unfinished repetitions
+    is fitted as one batch, and a failed training fit is redrawn from the
+    repetition's own stream."""
+    time, event, config, seed, frac, run = payload
+    out = []
+    for block in _blocks(run):
+        rngs = [derive_rng(seed, 3, i) for i in block]
+        result, last = [None] * len(block), [None] * len(block)
+        todo = list(range(len(block)))
+        for attempt in range(_CV_DRAWS):
+            if not todo:
+                break
+            masks = [_stratified_split(rngs[k], event, frac, config.nbreak + 1) for k in todo]
+            trains = [SurvSample(time[~m], event[~m]) for m in masks]
+            configs = [replace(config, seed=derive_seed(seed, 4, block[k], attempt)) for k in todo]
+            retry = []
+            for k, mask, res in zip(todo, masks, _fit_batch(trains, configs)):
+                if isinstance(res, FitResult):
+                    result[k] = (True, loglik(res.model, SurvSample(time[mask], event[mask])))
+                else:
+                    last[k] = f"{type(res).__name__}: {res}"
+                    retry.append(k)
+            todo = retry
+        for k in todo:
+            result[k] = (False, f"repetition {block[k]}: no feasible training fit in "
+                                f"{_CV_DRAWS} draws; last: {last[k]}")
+        out += result
+    return out
 
 
 def cv_loglik(
@@ -180,7 +221,12 @@ def cv_loglik(
     Each repetition holds out ``test_fraction`` of the records (stratified
     by event status), fits on the remainder, and scores the held-out
     records. Split streams are derived from (seed, repetition) alone, so
-    two models compared under the same seed see identical splits. For
+    two models compared under the same seed see identical splits.
+    Repetitions are fitted in blocks, the segmented regressions of a
+    block's ``ols`` or ``hybrid`` fits in one lockstep, and with ``threads``
+    workers each takes a contiguous run of repetitions; every training fit
+    is the one :func:`fit` gives on its split, so the values are identical
+    for any worker count. Follow-up times must be finite. For
     ``optimizer`` ``"ols"`` or ``"hybrid"``, a sample with fewer than
     ``2 * (nbreak + 1)`` distinct event times (``nbreak`` counting searched
     change-points only) raises :class:`NoFeasibleModelError` before any fit:
@@ -207,9 +253,10 @@ def cv_loglik(
                 f"optimizer {config.optimizer!r} needs at least {2 * (free + 1)} distinct "
                 f"event times for {free} searched change-points, got {n_times}"
             )
-    out = parallel_map(
-        _cv_worker, [(data, config, seed, i, test_fraction) for i in range(nsim)], threads
-    )
+    if not np.isfinite(data.time).all():
+        raise ValueError("estimation requires finite follow-up times (cut the data first)")
+    chunks = _chunks(data, nsim, threads, config, seed, test_fraction)
+    out = [r for chunk in parallel_map(_cv_chunk, chunks, threads) for r in chunk]
     values = np.array([val for ok, val in out if ok], dtype=float)
     failures = [val for ok, val in out if not ok]
     if len(values) == 0:

@@ -255,14 +255,15 @@ def read_survival_csv(
     Cells follow the rule of :func:`write_table`: a float as ``repr`` writes
     it or ``Inf``/``-Inf`` (any case, spaces around it ignored; ``NA`` is an
     error), an event 0 or 1, and a censor reason ``NA`` or blank for ``None``.
-    Cells may be quoted, blank lines are skipped, only the requested columns
-    are parsed, and a malformed cell or a short row raises ``ValueError``.
+    The header is the first line that is not blank. Cells may be quoted,
+    blank lines are skipped, only the requested columns are parsed, and a
+    malformed cell or a short row raises ``ValueError``.
     """
     float_cols = [c for c in (time_col, event_col, rand_time_col, follow_abs_time_col) if c]
     text_cols = [c for c in (censor_reason_col, id_col) if c]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next((row for row in reader if row), None)  # blank lines before it skipped
         if header is None:
             raise ValueError(f"{path}: empty CSV")
         missing = [c for c in float_cols + text_cols if c not in header]

@@ -51,12 +51,14 @@ def _parse_float(text: str) -> float:
 def reference_read_survival_csv(path, time_col="time", event_col="event", rand_time_col=None,
                                 follow_abs_time_col=None, censor_reason_col=None, id_col=None):
     """The row-wise reader that ``read_survival_csv`` replaced: one
-    ``csv.DictReader`` dict per row, each cell parsed in Python. Returns
-    the sample's fields as a dict."""
+    ``csv.DictReader`` dict per row after the first line that is not blank,
+    each cell parsed in Python. Returns the sample's fields as a dict."""
     needed = [c for c in (time_col, event_col, rand_time_col, follow_abs_time_col,
                           censor_reason_col, id_col) if c is not None]
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(row for row in reader if row)  # blank lines before it skipped
+        rows = list(csv.DictReader(fh, fieldnames=header))
     cols = {c: [row[c] for row in rows] for c in needed}
     as_floats = lambda c: np.array([_parse_float(v) for v in cols[c]]) if c else None
     reasons = None

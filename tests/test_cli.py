@@ -218,6 +218,23 @@ def test_predict_with_monthly_counts_matches_library(workdir, cut_sample):
         np.testing.assert_array_equal(_floats(cols[name]), ref[:, j])
 
 
+def test_predict_needs_no_id_or_follow_abs_column(workdir, cut_sample, tmp_path):
+    # predict reads time, event, rand time and censor reason only; the id
+    # and absolute follow-up flags stay accepted
+    cols = _columns(workdir / "cut.csv")
+    slim = tmp_path / "slim.csv"
+    write_table(slim, {c: cols[c] for c in ("randT", "followT", "event", "censor_reason")})
+    model = tmp_path / "fit_exp.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(model)
+    common = ["--model", str(model), "--analysis_time", str(CUT), "--n_each", "20",
+              "--kind", "predictive", "--seed", str(SEED), "--eval_at", "22,26,30"]
+    assert main(["predict", "--in", str(workdir / "cut.csv"), *common,
+                 "--out", str(tmp_path / "full.csv")]) == 0
+    assert main(["predict", "--in", str(slim), "--id-col", "absent", "--follow-abs-time-col", "absent",
+                 *common, "--out", str(tmp_path / "slim_out.csv")]) == 0
+    assert (tmp_path / "slim_out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 def test_followup_matches_sim_followup(workdir):
     out = workdir / "followup.csv"
     argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",

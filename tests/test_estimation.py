@@ -14,6 +14,7 @@ from pwexp.estimation import (
     _candidate_values,
     _profile,
     _run_segmented,
+    _segmented_starts,
     _snap_row,
     FitConfig,
     FitResult,
@@ -339,7 +340,7 @@ def test_line_sums_match_lstsq(case):
     # zero coefficient (lstsq over the whole design returns rounding noise
     # there, amplified by any nearly empty column, so it solves the live ones)
     x, y, ramps, steps = case
-    coef, sse = _LineSums(x, y).solve(ramps, steps)
+    coef, sse = _LineSums([(x, y)]).solve(ramps, steps)
     checked = 0
     for b in range(len(ramps)):
         D = line_design(x, ramps[b], steps[b])
@@ -408,6 +409,19 @@ def segmented_starts(x, npsi, rng, n_restarts=5):
     return np.sort(starts, axis=1)
 
 
+@pytest.mark.parametrize("npsi", [1, 2, 3])
+def test_starts_drawn_at_once_match_per_start(npsi):
+    # one uniform draw and one quantile call give every start, and leave
+    # the stream where the per-start draws left it
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.exponential(10.0, size=int(rng.integers(npsi + 2, 300))))
+        got_rng, want_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        got = _segmented_starts(x, npsi, got_rng)
+        assert got.tobytes() == segmented_starts(x, npsi, want_rng).tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def reference_segmented_line(x, y, npsi, fixed_psi=(), rng=None, max_iter=50, tol_frac=1e-8):
     """``fit_segmented_line`` as a loop over starts, one after the other;
     (converged, psi) of the best converged start."""
@@ -446,16 +460,17 @@ def test_clipped_break_convergence_is_stable():
     # start must not change whether that start converged
     data, _, _ = make_scenario(seed=3, n=300)
     x, y = km_fit(data).log_points()
-    sums = _LineSums(x, y)
+    sums = _LineSums([(x, y)])
     tol = _TOL_FRAC * (x[-1] - x[0])
     lo = x[0] + 1e-9 * (x[-1] - x[0])
+    no_fixed = np.empty((1, 0))
     ends = []
     for start in segmented_starts(x, 3, derive_rng(3, 202)):
         for k in range(1, 9):
-            psi = _run_segmented(sums, start[None], (), k, tol)[0]
-            flags = {bool(_run_segmented(sums, psi + eps, (), 50, tol)[2][0]) for eps in (-1e-12, 0.0, 1e-12)}
+            psi = _run_segmented(sums, start[None], no_fixed, k)[0]
+            flags = {bool(_run_segmented(sums, psi + eps, no_fixed)[2][0]) for eps in (-1e-12, 0.0, 1e-12)}
             assert len(flags) == 1
-        ends.append(_run_segmented(sums, start[None], (), 50, tol)[0][0])
+        ends.append(_run_segmented(sums, start[None], no_fixed)[0][0])
     assert any(p[0] - lo <= tol for p in ends)
 
 

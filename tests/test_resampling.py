@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pwexp as pw
-from pwexp.errors import NoFeasibleModelError, PwexpError
-from pwexp.estimation import FitConfig, fit, loglik
-from pwexp.resampling import BootFit, _resample_indices, boot_fit, cv_loglik
-from pwexp.rng import derive_rng
+from pwexp.errors import EmptyPieceError, NoFeasibleModelError, PwexpError
+from pwexp.estimation import FitConfig, _fit_batch, fit, loglik
+from pwexp.resampling import BootFit, _resample_indices, _stratified_split, boot_fit, cv_loglik
+from pwexp.rng import derive_rng, derive_seed
 from pwexp.survdata import SurvSample
 
 from conftest import make_scenario
@@ -63,12 +65,10 @@ class TestBootFit:
 
     def test_value_error_propagates(self, monkeypatch, small_train):
         # a bug inside a replicate is not an infeasible resample
-        def fit_then_fail(data, config, threads=1):
-            if data is small_train:
-                return fit(data, config)
+        def batch_fails(samples, configs):
             raise ValueError("planted bug")
 
-        monkeypatch.setattr("pwexp.resampling.fit", fit_then_fail)
+        monkeypatch.setattr("pwexp.resampling._fit_batch", batch_fails)
         with pytest.raises(ValueError, match="planted bug"):
             boot_fit(small_train, FitConfig(nbreak=0, seed=0), nsim=3, seed=1)
 
@@ -162,6 +162,13 @@ class TestCvLoglik:
         with pytest.raises(ValueError):
             cv_loglik(d, FitConfig(nbreak=2, optimizer="hybrid", seed=0), nsim=2, seed=0)
 
+    def test_infinite_time_rejected(self):
+        # uncut data: repetitions carry no censor reason to excuse an Inf
+        d = SurvSample([1.0, 2.0, np.inf, 3.0, 4.0, 5.0], [1, 1, 0, 1, 1, 0],
+                       censor_reason=[None, None, "never_event", None, None, None])
+        with pytest.raises(ValueError, match="finite follow-up times"):
+            cv_loglik(d, FitConfig(nbreak=0, seed=0), nsim=2, seed=0)
+
     def test_all_failed_names_the_reason(self):
         # 6 distinct event times pass the up-front guard, but a split holds
         # out one event and fit_ols needs 6 KM steps
@@ -175,7 +182,7 @@ class TestCvLoglik:
     @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
     def test_too_few_event_times_rejected_before_any_fit(self, monkeypatch, optimizer):
         calls = []
-        monkeypatch.setattr("pwexp.resampling.fit", lambda *a: calls.append(a))
+        monkeypatch.setattr("pwexp.resampling._fit_batch", lambda *a: calls.append(a))
         d = SurvSample(np.arange(1.0, 21.0), np.repeat([1, 0], [5, 15]))
         cfg = FitConfig(nbreak=2, optimizer=optimizer, seed=0)
         with pytest.raises(NoFeasibleModelError, match="needs at least 6 distinct event times"):
@@ -197,10 +204,10 @@ class TestCvLoglik:
             cv_loglik(d, cfg, nsim=2, seed=0)
 
     def test_value_error_propagates(self, monkeypatch, small_train):
-        def fail(data, config, threads=1):
+        def batch_fails(samples, configs):
             raise ValueError("planted bug")
 
-        monkeypatch.setattr("pwexp.resampling.fit", fail)
+        monkeypatch.setattr("pwexp.resampling._fit_batch", batch_fails)
         with pytest.raises(ValueError, match="planted bug"):
             cv_loglik(small_train, FitConfig(nbreak=0, seed=0), nsim=2, seed=0)
 
@@ -215,3 +222,139 @@ class TestCvLoglik:
         cv = cv_loglik(small_train, cfg, nsim=1, seed=9)
         ref = loglik(fit(small_train.subset(~mask), cfg).model, small_train.subset(mask))
         assert cv.values[0] == ref
+
+
+def reference_boot(data, cfg, nsim, seed):
+    """``boot_fit``'s replicates as one :func:`fit` per resample, with every
+    column of the sample: (fits, failures)."""
+    fits, failures = [], []
+    for b in range(nsim):
+        idx = _resample_indices(derive_rng(seed, 1, b), len(data))
+        try:
+            fits.append(fit(data.subset(idx), replace(cfg, seed=derive_seed(seed, 2, b))))
+        except (EmptyPieceError, NoFeasibleModelError) as exc:
+            failures.append(f"replicate {b}: {exc}")
+    return fits, failures
+
+
+def reference_cv(data, cfg, nsim, seed, frac=0.2):
+    """``cv_loglik``'s repetitions as one :func:`fit` per split: (values,
+    number failed, draws used by each repetition)."""
+    values, n_failed, draws = [], 0, []
+    for i in range(nsim):
+        rng = derive_rng(seed, 3, i)
+        for attempt in range(6):
+            mask = _stratified_split(rng, data.event, frac, cfg.nbreak + 1)
+            try:
+                res = fit(data.subset(~mask), replace(cfg, seed=derive_seed(seed, 4, i, attempt)))
+            except (EmptyPieceError, NoFeasibleModelError):
+                continue
+            values.append(loglik(res.model, data.subset(mask)))
+            break
+        else:
+            n_failed += 1
+        draws.append(attempt + 1)
+    return values, n_failed, draws
+
+
+def fingerprint(res) -> str:
+    """Everything a fit reports, bit for bit (repr keeps NaN comparable)."""
+    return repr((res.to_dict(), res.diagnostics))
+
+
+def assert_boot_matches_fits(data, cfg, nsim, seed):
+    bf = boot_fit(data, cfg, nsim=nsim, seed=seed)
+    fits, failures = reference_boot(data, cfg, nsim, seed)
+    assert [fingerprint(r) for r in bf.replicates] == [fingerprint(r) for r in fits]
+    assert bf.failures == failures
+    return bf
+
+
+def assert_cv_matches_fits(data, cfg, nsim, seed):
+    cv = cv_loglik(data, cfg, nsim=nsim, seed=seed)
+    values, n_failed, draws = reference_cv(data, cfg, nsim, seed)
+    assert cv.values.tobytes() == np.array(values).tobytes()
+    assert cv.n_failed == n_failed
+    return cv, draws
+
+
+OPTIMIZERS = ["bfs", "ols", "hybrid"]
+
+
+class TestBatchMatchesSingleFits:
+    """Replicates are fitted in batches; each must be the single fit."""
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_fixed_breakpoint_cleaned_in_some_resamples(self, optimizer):
+        # a fixed change-point between the two largest event times is
+        # dropped in resamples without the last event, so one batch mixes
+        # fits with and without a fixed ramp
+        data, _, _ = make_scenario(seed=2, n=300)
+        cfg = FitConfig(nbreak=2, fixed_breakpoints=(6.664,), optimizer=optimizer, min_pt_tail=1, seed=2)
+        bf = assert_boot_matches_fits(data, cfg, nsim=8, seed=2)
+        dropped = [any("dropped" in w for w in r.warnings) for r in bf.replicates]
+        assert any(dropped) and not all(dropped)
+        assert_cv_matches_fits(data, cfg, nsim=4, seed=2)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_failing_replicate_inside_a_batch(self, optimizer):
+        # some resamples hold too few distinct event times: 2 for bfs, 4
+        # (KM steps) for the OLS search
+        n_events, n_censored = (4, 16) if optimizer == "bfs" else (8, 12)
+        data = SurvSample(
+            np.concatenate([np.arange(1.0, n_events + 1.0), np.linspace(0.5, 30.0, n_censored)]),
+            np.repeat([1, 0], [n_events, n_censored]),
+        )
+        cfg = FitConfig(nbreak=1, optimizer=optimizer, min_pt_tail=1, seed=0)
+        bf = assert_boot_matches_fits(data, cfg, nsim=12, seed=3)
+        failed = [int(f.split(":")[0].split()[1]) for f in bf.failures]
+        assert failed and 0 < min(failed) and max(failed) < 11
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_grid_fallback_and_unconverged_starts(self, optimizer):
+        data, _, _ = make_scenario(seed=1, n=300)
+        for nbreak in (1, 2):
+            cfg = FitConfig(nbreak=nbreak, optimizer=optimizer, seed=1)
+            bf = assert_boot_matches_fits(data, cfg, nsim=8, seed=1)
+            assert_cv_matches_fits(data, cfg, nsim=4, seed=1)
+            if optimizer == "bfs":
+                continue
+            assert any(any("grid fallback" in w for w in r.warnings) for r in bf.replicates)
+            if nbreak == 1:  # a replicate where no start converges
+                assert any(r.diagnostics["segmented_starts_converged"] == 0 for r in bf.replicates)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_redrawn_split(self, optimizer):
+        # 8 events at 7 distinct times: holding out two singletons leaves 5
+        # event times, too few KM steps for 2 change-points, so splits fail
+        # and are redrawn
+        data = SurvSample(
+            np.concatenate([np.arange(1.0, 8.0), [7.0], np.linspace(8.5, 30.0, 16)]),
+            np.concatenate([np.ones(8, dtype=int), np.zeros(16, dtype=int)]),
+        )
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0)
+        _, draws = assert_cv_matches_fits(data, cfg, nsim=6, seed=2)
+        if optimizer != "bfs":
+            assert max(draws) > 1
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_independent_of_block_size_and_threads(self, monkeypatch, optimizer):
+        data, _, _ = make_scenario(seed=5, n=300)
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, seed=5)
+        boot = boot_fit(data, cfg, nsim=7, seed=3).to_dict()
+        cv = cv_loglik(data, cfg, nsim=5, seed=3).values
+        for threads in (2, 3):
+            assert boot_fit(data, cfg, nsim=7, seed=3, threads=threads).to_dict() == boot
+            assert cv_loglik(data, cfg, nsim=5, seed=3, threads=threads).values.tobytes() == cv.tobytes()
+        for block in (1, 3, 10):
+            monkeypatch.setattr("pwexp.resampling._BLOCK", block)
+            assert boot_fit(data, cfg, nsim=7, seed=3).to_dict() == boot
+            assert cv_loglik(data, cfg, nsim=5, seed=3).values.tobytes() == cv.tobytes()
+
+    def test_value_error_in_one_sample_propagates(self):
+        # an infinite time is a bad argument, not an infeasible sample
+        good, _, _ = make_scenario(seed=1, n=300)
+        bad = SurvSample([1.0, np.inf, 2.0], [1, 0, 1], censor_reason=[None, "never_event", None])
+        cfg = FitConfig(nbreak=1, optimizer="hybrid", seed=0)
+        with pytest.raises(ValueError, match="finite follow-up times"):
+            _fit_batch([good, bad, good], [cfg] * 3)

@@ -199,6 +199,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="empty CSV"):
             read_survival_csv(path)
 
+    def test_blank_lines_before_header_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\n\r\n\ntime,event\n1.5,1\n\n2.0,0\n", newline="")
+        s = read_survival_csv(path)
+        assert s.time.tolist() == [1.5, 2.0] and s.event.tolist() == [1, 0]
+        path.write_text("\n\r\n")
+        with pytest.raises(ValueError, match="empty CSV"):
+            read_survival_csv(path)
+
     def test_header_only_is_empty_sample(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("ID,time,event,why\r\n\r\n")
@@ -280,7 +289,7 @@ def survival_tables(draw):
     lines = [",".join(_quoted(draw, c) if "," in c else c for c in names)]
     lines += [",".join(cells[c][i] for c in names) for i in range(n)]
     for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(1, len(lines))), "")
+        lines.insert(draw(st.integers(0, len(lines))), "")
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     kw = dict(time_col="time", event_col="event")
     for key, col in (("rand_time_col", "rand time"), ("follow_abs_time_col", "fab"),
