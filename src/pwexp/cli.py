@@ -300,6 +300,8 @@ def _cmd_predict(args, argv):
             rate=args.rate,
             monthly_counts=tuple(_parse_ints(args.monthly_counts)) if args.monthly_counts else None,
         )
+    if (args.timeline_at is None) != (args.timeline_out is None):
+        raise ValueError("--timeline_at and --timeline_out go together")
     snap = TrialSnapshot.from_cut_sample(data, args.analysis_time, accrual)
     censor = _load_model(args.censor_model) if args.censor_model else None
     ens = predict_events(
@@ -314,6 +316,10 @@ def _cmd_predict(args, argv):
         rows = event_interval(ens, eval_at, level=args.level, kind=args.kind)
     write_interval_csv(rows, args.out, timeline=args.xyswitch)
     _write_manifest(args.out, "predict", argv)
+    if args.timeline_out:
+        rows = timeline_for_events(ens, _parse_floats(args.timeline_at), level=args.level, kind=args.kind)
+        write_interval_csv(rows, args.timeline_out, timeline=True)
+        _write_manifest(args.timeline_out, "predict", argv)
     return 0
 
 
@@ -410,6 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("confidence", "predictive"), default="confidence")
     p.add_argument("--xyswitch", action="store_true",
                    help="invert: timeline for given event counts")
+    p.add_argument("--timeline_at", default=None,
+                   help="event counts for a second, timeline table from the same ensemble")
+    p.add_argument("--timeline_out", default=None, help="write the --timeline_at table here")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)

@@ -98,25 +98,51 @@ def _finish(vals: np.ndarray, scalar: bool):
     return float(vals[0]) if scalar else vals
 
 
-def _piece_index(m: PweModel, t: np.ndarray) -> np.ndarray:
+# Up to this many bounds a key's piece is found by counting comparisons, one
+# pass over the keys per bound; above it by binary search. Timed per draw on
+# blocks of 8,192 (2 vCPUs, numpy 2.4; BENCH_sampler.json), the count is the
+# cheaper of the two up to about 40 bounds in conditional_sample and 80 in
+# sample. The count is kept in int8, so this must stay below 128.
+_COUNT_MAX = 40
+
+
+def _locate(bounds: np.ndarray, x: np.ndarray):
+    """``np.searchsorted(bounds, x, side="right")``, the number of bounds <=
+    each key, for every key but NaN (±inf and keys on a bound included).
+    With no bounds it is the scalar 0, which indexes like an array of
+    zeros. The count puts a NaN key in piece 0, binary search in the last."""
+    if len(bounds) > _COUNT_MAX:
+        return np.searchsorted(bounds, x, side="right")
+    if not len(bounds):
+        return 0
+    idx = (x >= bounds[0]).view(np.int8)
+    for b in bounds[1:]:
+        idx += x >= b
+    return idx.astype(np.intp)
+
+
+def _piece_index(m: PweModel, t: np.ndarray):
     # right-continuous: t == d_k evaluates in piece k+1
-    return np.searchsorted(m._breaks_arr, t, side="right")
+    return _locate(m._breaks_arr, t)
+
+
+def _cumhaz(m: PweModel, t: np.ndarray) -> np.ndarray:
+    """H(t) for t >= 0 (NaN stays NaN); negative t extrapolates piece 1."""
+    idx = _piece_index(m, t)
+    return m._cum[idx] + m._rates_arr[idx] * (t - m._lower[idx])
 
 
 def hazard(m: PweModel, t):
-    """Hazard rate h(t); 0 for t < 0."""
+    """Hazard rate h(t); 0 for t < 0, NaN for NaN t."""
     tv, scalar = _prepare(t)
-    idx = _piece_index(m, tv)
-    out = np.where(tv < 0.0, 0.0, m._rates_arr[idx])
-    return _finish(out, scalar)
+    out = np.where(tv < 0.0, 0.0, m._rates_arr[_piece_index(m, tv)])
+    return _finish(np.where(np.isnan(tv), np.nan, out), scalar)
 
 
 def cumulative_hazard(m: PweModel, t):
     """Integrated hazard H(t); 0 for t <= 0."""
     tv, scalar = _prepare(t)
-    idx = _piece_index(m, tv)
-    h = m._cum[idx] + m._rates_arr[idx] * (tv - m._lower[idx])
-    return _finish(np.maximum(h, 0.0), scalar)
+    return _finish(np.maximum(_cumhaz(m, tv), 0.0), scalar)
 
 
 def density(m: PweModel, t):
@@ -147,11 +173,14 @@ def cdf(m: PweModel, t):
 
 
 def _invert_cumhaz(m: PweModel, target: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the cumulative hazard (piecewise linear)."""
-    idx = np.searchsorted(m._cum[1:], target, side="right")
-    with np.errstate(invalid="ignore"):
-        out = m._lower[idx] + (target - m._cum[idx]) / m._rates_arr[idx]
-    return np.where(np.isposinf(target), np.inf, out)
+    """Closed-form inverse of the cumulative hazard (piecewise linear),
+    computed in place of ``target``; an infinite target falls in the last
+    piece and maps to inf."""
+    idx = _locate(m._cum[1:], target)
+    target -= m._cum[idx]
+    target /= m._rates_arr[idx]
+    target += m._lower[idx]
+    return target
 
 
 def _check_prob(p: np.ndarray):
@@ -174,7 +203,14 @@ def quantile(m: PweModel, p):
 
 
 def sample(m: PweModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` i.i.d. draws by inverse transform: Q(U), U ~ uniform[0, 1)."""
+    """``n`` i.i.d. draws by inverse transform: Q(U), U ~ uniform[0, 1).
+
+    Takes one uniform per draw, in order: the draws are bit for bit
+    ``quantile(m, rng.random(n))``, without its checks, which uniforms in
+    [0, 1) cannot fail. Cost per draw is one uniform, a logarithm, one
+    comparison pass per change-point (binary search above ``_COUNT_MAX``)
+    and three table lookups.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     u = rng.random(int(n))
@@ -201,6 +237,23 @@ def conditional_cdf(m: PweModel, t, given: float):
     return _finish(out, scalar)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _check_given(given) -> np.ndarray:
+    g = np.asarray(given, dtype=float)
+    if np.any(g < 0.0):
+        raise ValueError("conditioning time must be nonnegative")
+    return g
+
+
+def _conditional_inverse(m: PweModel, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q(p | T > g) for p in [0, 1] and g >= 0, without the exact case p == 0."""
+    # the cumulative hazard of a nonnegative time needs no clamp at 0
+    target = _cumhaz(m, np.atleast_1d(g)) - np.log1p(-p)
+    return np.maximum(_invert_cumhaz(m, target), g)
+
+
 def conditional_quantile(m: PweModel, p, given):
     """Quantile of T given T > ``given`` (closed form, >= ``given``).
 
@@ -211,26 +264,28 @@ def conditional_quantile(m: PweModel, p, given):
     """
     pv, scalar = _prepare(p)
     _check_prob(pv)
-    g = np.asarray(given, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("conditioning time must be nonnegative")
-    scalar = scalar and g.ndim == 0
+    g = _check_given(given)
     with np.errstate(divide="ignore"):
-        target = cumulative_hazard(m, g) - np.log1p(-pv)
-    out = np.maximum(_invert_cumhaz(m, target), g)
+        out = _conditional_inverse(m, pv, g)
     out = np.where(pv == 0.0, g, out)  # exact at the conditioning point
-    return _finish(out, scalar)
+    return _finish(out, scalar and g.ndim == 0)
 
 
 def conditional_sample(m: PweModel, n: int, given, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of T given T > ``given``; every draw exceeds ``given``.
+    """``n`` draws of T given T > ``given``; no draw is below ``given``.
 
     ``given`` is one conditioning time for all draws or an array of ``n``,
-    one per draw.
+    one per draw; a negative entry raises ``ValueError``. Takes one uniform
+    per draw, in order: with ``u = rng.random(n)`` the draws are bit for bit
+    ``conditional_quantile(m, np.maximum(u, tiny), given)``. The smallest
+    normal float ``tiny`` stands in for U == 0, which keeps a draw at
+    ``given == 0`` above 0. The probability checks of
+    :func:`conditional_quantile` are skipped, as these uniforms cannot fail
+    them. Cost per draw is that of :func:`sample`, plus the cumulative
+    hazard at ``given`` (a second comparison pass per change-point and
+    three lookups) when ``given`` is an array.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = rng.random(int(n))
-    # keep draws strictly above the conditioning point even if U == 0
-    u = np.where(u > 0.0, u, np.finfo(float).tiny)
-    return np.asarray(np.atleast_1d(conditional_quantile(m, u, given)), dtype=float)
+    u = np.maximum(rng.random(int(n)), _TINY)
+    return _conditional_inverse(m, u, _check_given(given))

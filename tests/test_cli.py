@@ -235,6 +235,35 @@ def test_predict_needs_no_id_or_follow_abs_column(workdir, cut_sample, tmp_path)
     assert (tmp_path / "slim_out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
+def test_predict_writes_timeline_from_the_same_ensemble(workdir, cut_sample, tmp_path):
+    model = tmp_path / "fit.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=1, optimizer="bfs", seed=SEED)).save_json(model)
+    common = ["predict", "--in", str(workdir / "cut.csv"), "--model", str(model),
+              "--analysis_time", str(CUT), "--n_each", "20", "--kind", "predictive",
+              "--seed", str(SEED)]
+    targets = ",".join(map(repr, [cut_sample.n_events + 5.0, cut_sample.n_events + 40.0, 1e6]))
+    both = [*common, "--eval_at", "22,26,30", "--out", str(tmp_path / "interval.csv"),
+            "--timeline_at", targets, "--timeline_out", str(tmp_path / "timeline.csv")]
+    assert main(both) == 0
+    assert main([*common, "--eval_at", "22,26,30", "--out", str(tmp_path / "interval_only.csv")]) == 0
+    assert main([*common, "--xyswitch", "--eval_at", targets,
+                 "--out", str(tmp_path / "timeline_only.csv")]) == 0
+    assert (tmp_path / "interval.csv").read_bytes() == (tmp_path / "interval_only.csv").read_bytes()
+    assert (tmp_path / "timeline.csv").read_bytes() == (tmp_path / "timeline_only.csv").read_bytes()
+    assert _header(tmp_path / "timeline.csv") == b"n_event,time,lower,upper"
+    manifest = (tmp_path / "timeline.csv.manifest.json").read_text()
+    assert "--timeline_out" in manifest
+
+
+def test_predict_timeline_flags_go_together(workdir, tmp_path, capsys):
+    argv = ["predict", "--in", str(workdir / "cut.csv"), "--model", str(tmp_path / "absent.json"),
+            "--analysis_time", str(CUT), "--eval_at", "22", "--seed", str(SEED),
+            "--out", str(tmp_path / "out.csv"), "--timeline_at", "50"]
+    assert main(argv) == 1
+    assert "--timeline_at and --timeline_out go together" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_followup_matches_sim_followup(workdir):
     out = workdir / "followup.csv"
     argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from pwexp import distribution as dist
 from pwexp.distribution import (
     PweModel,
     cdf,
@@ -263,3 +267,144 @@ class TestExponentialSpecialCase:
     def test_cumhaz_linear(self):
         ts = np.linspace(0.0, 10.0, 11)
         assert np.allclose(cumulative_hazard(EXP_HALF, ts), 0.5 * ts, rtol=1e-15)
+
+
+class TestEdgeValues:
+    """All five evaluation functions at NaN, at ±inf and exactly on each
+    breakpoint, where the hazard is right-continuous."""
+
+    FUNCTIONS = (hazard, cumulative_hazard, density, survival, cdf)
+
+    @pytest.mark.parametrize("m", [EXP_HALF, M3, PweModel(np.linspace(0.05, 0.5, 21), np.arange(1.0, 21.0))],
+                             ids=["r0", "r2", "r20"])
+    def test_nan_in_nan_out(self, m):
+        for fn in self.FUNCTIONS:
+            assert np.isnan(fn(m, np.nan)), fn.__name__
+            got = fn(m, np.array([1.0, np.nan]))
+            assert np.isnan(got[1]) and not np.isnan(got[0]), fn.__name__
+
+    def test_infinities(self):
+        got = [fn(M3, -np.inf) for fn in self.FUNCTIONS]
+        assert got == [0.0, 0.0, 0.0, 1.0, 0.0]
+        got = [fn(M3, np.inf) for fn in self.FUNCTIONS]
+        assert got == [0.2, np.inf, 0.0, 0.0, 1.0]
+
+    def test_on_each_breakpoint(self):
+        for k, d in enumerate(M3.breakpoints):
+            rate = M3.rates[k + 1]  # the piece that starts at d
+            h = ref_cumhaz(M3, d)
+            assert hazard(M3, d) == rate
+            assert cumulative_hazard(M3, d) == pytest.approx(h, rel=1e-15)
+            assert density(M3, d) == pytest.approx(rate * np.exp(-h), rel=1e-15)
+            assert survival(M3, d) == pytest.approx(np.exp(-h), rel=1e-15)
+            assert cdf(M3, d) == pytest.approx(-np.expm1(-h), rel=1e-15)
+            # one float step below the breakpoint is still the earlier piece
+            assert hazard(M3, np.nextafter(d, -np.inf)) == M3.rates[k]
+
+
+@st.composite
+def models(draw):
+    """A PWE model with 0 to 20 change-points."""
+    r = draw(st.integers(0, 20))
+    breaks = sorted(draw(st.lists(st.floats(1e-3, 100.0), min_size=r, max_size=r, unique=True)))
+    rates = draw(st.lists(st.floats(1e-3, 10.0), min_size=r + 1, max_size=r + 1))
+    return PweModel(tuple(rates), tuple(breaks))
+
+
+def _keys_around(m: PweModel, draw):
+    """Keys on the breakpoints and on the cumulative hazard at each piece's
+    start, one float step either side of those, ±inf, and anywhere."""
+    on = [*m.breakpoints, *m._cum.tolist(), 0.0]
+    key = (
+        st.sampled_from(on)
+        | st.sampled_from(on).map(lambda b: np.nextafter(b, np.inf))
+        | st.sampled_from(on).map(lambda b: np.nextafter(b, -np.inf))
+        | st.sampled_from([np.inf, -np.inf])
+        | st.floats(-1.0, 200.0)
+    )
+    return np.array(draw(st.lists(key, min_size=1, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(), st.data())
+def test_piece_lookup_equals_searchsorted(m, data):
+    keys = _keys_around(m, data.draw)
+    for bounds in (m._breaks_arr, m._cum[1:]):
+        want = np.searchsorted(bounds, keys, side="right")
+        np.testing.assert_array_equal(np.broadcast_to(dist._locate(bounds, keys), keys.shape), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0), min_size=0, max_size=127, unique=True), st.data())
+def test_comparison_count_up_to_127_bounds(bounds, data):
+    # the count is kept in int8; force it on for every length it may serve
+    bounds = np.sort(np.array(bounds, dtype=float))
+    keys = np.array(data.draw(st.lists(
+        st.sampled_from([*bounds.tolist(), np.inf, -np.inf, 0.0]) | st.floats(-60.0, 60.0),
+        min_size=1, max_size=40)))
+    with mock.patch.object(dist, "_COUNT_MAX", 127):
+        got = np.broadcast_to(dist._locate(bounds, keys), keys.shape)
+    np.testing.assert_array_equal(got, np.searchsorted(bounds, keys, side="right"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_sample_is_quantile_of_its_uniforms(m, n, seed):
+    ref = np.random.default_rng(seed)
+    want = quantile(m, ref.random(n))
+    rng = np.random.default_rng(seed)
+    got = sample(m, n, rng)
+    assert got.dtype == float and got.shape == (n,)
+    assert got.tobytes() == np.atleast_1d(want).tobytes()
+    assert rng.random() == ref.random()  # one uniform per draw
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.integers(0, 300), st.integers(0, 2**32 - 1), st.data())
+def test_conditional_sample_is_conditional_quantile_of_its_uniforms(m, n, seed, data):
+    times = st.sampled_from([0.0, *m.breakpoints]) | st.floats(0.0, 150.0)
+    scalar = data.draw(times)
+    array = np.resize(data.draw(st.lists(times, min_size=1, max_size=20)), n)
+    for g in (scalar, array):
+        ref = np.random.default_rng(seed)
+        u = np.maximum(ref.random(n), np.finfo(float).tiny)
+        want = np.atleast_1d(conditional_quantile(m, u, g))
+        rng = np.random.default_rng(seed)
+        got = conditional_sample(m, n, g, rng)
+        assert got.dtype == float and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got >= g)
+        assert rng.random() == ref.random()  # one uniform per draw
+
+
+class _ZeroUniforms:
+    """Stands in for a generator whose next uniforms are all exactly 0."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+def test_zero_uniform_is_replaced_by_tiny():
+    # U == 0 draws at the smallest normal float instead: strictly above a
+    # conditioning time of 0, and at (rounded to) a positive one. At
+    # 5.2696686180767704 inverting H(g) rounds below g, and the draw is
+    # raised to g.
+    for g in (0.0, 5.0, 5.2696686180767704, np.array([0.0, 5.0, 14.0])):
+        got = conditional_sample(M3, 3, g, _ZeroUniforms())
+        want = np.atleast_1d(conditional_quantile(M3, np.finfo(float).tiny, g))
+        assert got.tobytes() == np.broadcast_to(want, (3,)).tobytes()
+        assert np.all(got >= g) and np.all(got[np.broadcast_to(g, 3) == 0.0] > 0.0)
+
+
+@pytest.mark.parametrize("r", [0, 2, 20, 41, 60])
+def test_samplers_same_with_either_lookup(r):
+    """The draws do not depend on which side of the crossover a model is."""
+    m = PweModel(np.linspace(0.02, 0.3, r + 1), np.linspace(1.0, 40.0, r))
+    given = np.repeat(np.linspace(0.0, 45.0, 50), 20)
+    runs = []
+    for count_max in (-1, 127):
+        with mock.patch.object(dist, "_COUNT_MAX", count_max):
+            runs.append((sample(m, 1000, np.random.default_rng(r)),
+                         conditional_sample(m, 1000, given, np.random.default_rng(r))))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,19 @@ class TestCurves:
         ref = _predict(snapshot)
         monkeypatch.setattr(pr, "_BLOCK", block)
         _assert_same(_predict(snapshot), ref)
+
+    def test_pinned_digest(self, snapshot):
+        """SHA-256 of the curves of a fixed scenario (3 bootstrap replicates
+        and a base fit, a two-piece censoring model, future accrual), taken
+        when the samplers searched pieces with ``np.searchsorted``: changes
+        to the samplers must keep every draw. The digest covers float bits,
+        so a numpy whose ``log1p`` rounds differently changes it too."""
+        ens = pw.predict_events(ENSEMBLE, pw.PweModel((0.02, 0.05), (8.0,)), snapshot,
+                                n_each=30, seed=11, grid_points=50)
+        h = hashlib.sha256()
+        for name in ("expected", "predictive", "point"):
+            h.update(getattr(ens, name).tobytes())
+        assert h.hexdigest() == "b19c099a2bdf212e01b04e9a076ede9340bdabdef890e273a9d54060674b5593"
 
     def test_without_censoring_or_accrual(self, snapshot):
         snap = pw.TrialSnapshot(analysis_time=T0, n_events=snapshot.n_events,
