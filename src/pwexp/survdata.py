@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -201,6 +202,7 @@ def cut_data(data: SurvSample, cut: float) -> SurvSample:
 
 _NONFINITE_CELLS = {"inf": "Inf", "-inf": "-Inf", "nan": "NA"}
 _WRITE_BLOCK_ROWS = 1024
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _format_cell(value) -> str:
@@ -212,10 +214,35 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _quote_minimal(cells: list[str]) -> list[str]:
+    """csv's QUOTE_MINIMAL rule: a cell holding a comma, ``"``, CR or LF is
+    wrapped in quotes with its quotes doubled. One scan finds whether any
+    cell of the column needs it."""
+    if not _NEEDS_QUOTES.search("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+
+
 def _format_column(arr: np.ndarray) -> list[str]:
-    if arr.dtype.kind == "f":
-        return [_NONFINITE_CELLS.get(text, text) for text in map(repr, arr.tolist())]
-    return [_format_cell(v) for v in arr.tolist()]
+    kind = arr.dtype.kind
+    if kind == "f":
+        cells = list(map(repr, arr.tolist()))
+        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+            cells[i] = _NONFINITE_CELLS.get(cells[i], cells[i])
+        return cells
+    if kind in "biu":
+        return list(map(str, arr.tolist()))
+    return _quote_minimal([_format_cell(v) for v in arr.tolist()])
+
+
+def _lines(columns: list[list[str]]) -> str:
+    """The rows of formatted, quoted ``columns``, each ending in ``\\r\\n``.
+    As csv.writer does, a row of one empty cell is written as ``""``."""
+    if len(columns) == 1:
+        rows = ['""' if c == "" else c for c in columns[0]]
+    else:
+        rows = map(",".join, zip(*columns))
+    return "\r\n".join(rows) + "\r\n"
 
 
 def write_table(path, columns: Mapping[str, Sequence]) -> None:
@@ -224,21 +251,31 @@ def write_table(path, columns: Mapping[str, Sequence]) -> None:
     Every cell follows one rule, the one :func:`read_survival_csv` parses:
     a float is written with ``repr`` (so it reads back exactly), +inf as
     ``Inf``, -inf as ``-Inf``, NaN and ``None`` as ``NA``; any other value
-    with ``str``. Cells are quoted only when they need it and rows end in
-    ``\\r\\n``.
+    with ``str``. Rows end in ``\\r\\n``. Quoting is csv's QUOTE_MINIMAL: a
+    header or cell that holds a comma, ``"``, CR or LF is wrapped in quotes
+    with its quotes doubled, and a row of one empty cell is written ``""``,
+    so the bytes are those ``csv.writer`` would write.
+
+    Cost: one ``repr`` per float cell and one ``str`` per integer or bool
+    cell, in a pass over ``tolist()``; only other columns (text, objects)
+    take a per-cell call and the scan for quoting. Rows are joined with
+    ``str.join`` and each block of ``_WRITE_BLOCK_ROWS`` rows is one write,
+    which keeps the formatted text's memory bounded; no csv module is used.
+    A column that is not 1-D or columns of different lengths raise
+    ``ValueError``.
     """
     arrays = [np.asarray(c) for c in columns.values()]
+    for name, a in zip(columns, arrays):
+        if a.ndim != 1:
+            raise ValueError(f"column {name!r} must be 1-D, got shape {a.shape}")
     lengths = {len(a) for a in arrays}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {[len(a) for a in arrays]}")
     n_rows = max(lengths, default=0)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        # a block of rows at a time keeps the formatted cells' memory bounded
+        fh.write(_lines([[name] for name in _quote_minimal([str(n) for n in columns])]))
         for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            block = [_format_column(a[start:start + _WRITE_BLOCK_ROWS]) for a in arrays]
-            writer.writerows(zip(*block))
+            fh.write(_lines([_format_column(a[start:start + _WRITE_BLOCK_ROWS]) for a in arrays]))
 
 
 def read_survival_csv(

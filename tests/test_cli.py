@@ -1,6 +1,11 @@
 """The ``pwexp`` command line, run in-process, against the library calls it
 wraps, and the CSV cell format shared by every table it writes."""
 import csv
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import pwexp as pw
 from pwexp import distribution as dist
+from pwexp import survdata
 from pwexp.cli import main
 from pwexp.survdata import read_survival_csv, write_table
 
@@ -310,6 +316,111 @@ def test_write_table_cell_rule(tmp_path):
 def test_write_table_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
+@pytest.mark.parametrize("column", [np.ones((2, 2)), 1.0], ids=["2-D", "scalar"])
+def test_write_table_rejects_columns_not_1d(tmp_path, column):
+    with pytest.raises(ValueError, match="column 'b' must be 1-D"):
+        write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": column})
+    assert not (tmp_path / "t.csv").exists()
+
+
+_ORACLE_NONFINITE = {"inf": "Inf", "-inf": "-Inf", "nan": "NA"}
+
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        text = repr(value)
+        return _ORACLE_NONFINITE.get(text, text)
+    return str(value)
+
+
+def _oracle_write_table(path, columns):
+    """The reference writer: each cell formatted on its own, and rows
+    written, quoted and ended by this interpreter's ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        cells = [[_oracle_cell(v) for v in np.asarray(c).tolist()] for c in columns.values()]
+        writer.writerows(zip(*cells))
+
+
+_TEXT = st.text(st.sampled_from(list('ab ,"\r\n\'\té中')), max_size=4)
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310])
+
+
+@st.composite
+def _tables(draw):
+    """0-5 rows of 1-3 columns of every kind the writer formats apart."""
+    n = draw(st.integers(0, 5))
+    cells = {
+        "float": (_FLOATS, float),
+        "int8": (st.integers(-128, 127), np.int8),
+        "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
+        "bool": (st.booleans(), bool),
+        "str": (_TEXT, str),
+        "object": (_TEXT | _FLOATS | st.integers() | st.none(), object),
+        "empty": (st.just(""), object),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=3))
+    names = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    table = {}
+    for name, kind in zip(names, kinds):
+        values, dtype = cells[kind]
+        table[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    return table
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.sampled_from([1, 2, 1024]))
+def test_write_table_bytes_equal_csv_writer(oracle_dir, table, block_rows):
+    got, want = oracle_dir / "got.csv", oracle_dir / "want.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survdata, "_WRITE_BLOCK_ROWS", block_rows)
+        write_table(got, table)
+    _oracle_write_table(want, table)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_tables_pinned_digest(tmp_path):
+    """SHA-256 of the simulate -> cut -> km tables of a fixed scenario, taken
+    when ``write_table`` wrote through ``csv.writer``. Two groups, two
+    strata, drop-out and a death model in one group: the tables hold Inf,
+    every censor reason that simulate and cut give (NA, drop_out, death,
+    cut), text and integer columns, and more rows than one write block. The
+    digests cover the simulated values too, so a change to the samplers
+    changes them as well."""
+    trial, cut, km = (str(tmp_path / f"{n}.csv") for n in ("trial", "cut", "km"))
+    assert main(["simulate", "--rand_rate", "50", "--total_sample", "2000",
+                 "--groups", "trt=1,con=1", "--strata", "s1=1,s2=1",
+                 "--event", "trt=0.05,0.02@6", "--event", "con=0.1", "--death", "trt=0.02",
+                 "--drop_rate", "0.03", "--seed", "11", "--out", trial]) == 0
+    assert main(["cut", "--in", trial, "--cut", "30", "--out", cut]) == 0
+    assert main(["km", "--in", cut, "--out", km]) == 0
+    digests = {Path(p).stem: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (trial, cut, km)}
+    assert digests == {
+        "trial": "16d6de0f18122c976dfdea556c9fccb467697141660bc21184ae6989ea4c05e5",
+        "cut": "0c12893e057ee4df08913a1b3d78f37de2db396ce097a3207fbb72b9895b421d",
+        "km": "73d316485b9d2b66a40073f38454f0397a4f27b87aa8b429ab1cacca21c3257d",
+    }
+
+
+def test_cli_import_loads_no_process_pool():
+    """The pool modules load only when a run uses more than one worker."""
+    code = ("import sys, pwexp.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('concurrent.futures', 'multiprocessing'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(pw.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
