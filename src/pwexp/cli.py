@@ -174,7 +174,7 @@ def _design_from(args) -> TrialDesign:
     )
 
 
-def _print_fit_summary(res: FitResult, file=sys.stdout):
+def _print_fit_summary(res: FitResult, file=None):
     r = len(res.model.breakpoints)
     names = [f"brk{i + 1}" for i in range(r)] + [f"lam{i + 1}" for i in range(r + 1)]
     names += ["likelihood", "AIC", "BIC"]

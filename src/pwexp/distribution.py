@@ -172,6 +172,11 @@ def cdf(m: PweModel, t):
     return _finish(np.where(tv < 0.0, 0.0, out), scalar)
 
 
+def _log_surv(p: np.ndarray) -> np.ndarray:
+    """``log1p(-p)``, the log of 1 - p, computed in place of ``p``."""
+    return np.log1p(np.negative(p, out=p), out=p)
+
+
 def _invert_cumhaz(m: PweModel, target: np.ndarray) -> np.ndarray:
     """Closed-form inverse of the cumulative hazard (piecewise linear),
     computed in place of ``target``; an infinite target falls in the last
@@ -213,8 +218,8 @@ def sample(m: PweModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = rng.random(int(n))
-    return _invert_cumhaz(m, -np.log1p(-u))
+    log_surv = _log_surv(rng.random(int(n)))
+    return _invert_cumhaz(m, np.negative(log_surv, out=log_surv))
 
 
 def conditional_survival(m: PweModel, t, given: float):
@@ -247,11 +252,13 @@ def _check_given(given) -> np.ndarray:
     return g
 
 
-def _conditional_inverse(m: PweModel, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Q(p | T > g) for p in [0, 1] and g >= 0, without the exact case p == 0."""
+def _conditional_inverse(m: PweModel, log_surv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q(p | T > g) for g >= 0 from ``log_surv = log1p(-p)``, p in [0, 1],
+    without the exact case p == 0. Computed in place of ``log_surv``, which
+    must already have the shape that p and g broadcast to."""
     # the cumulative hazard of a nonnegative time needs no clamp at 0
-    target = _cumhaz(m, np.atleast_1d(g)) - np.log1p(-p)
-    return np.maximum(_invert_cumhaz(m, target), g)
+    target = np.subtract(_cumhaz(m, np.atleast_1d(g)), log_surv, out=log_surv)
+    return np.maximum(_invert_cumhaz(m, target), g, out=target)
 
 
 def conditional_quantile(m: PweModel, p, given):
@@ -266,7 +273,8 @@ def conditional_quantile(m: PweModel, p, given):
     _check_prob(pv)
     g = _check_given(given)
     with np.errstate(divide="ignore"):
-        out = _conditional_inverse(m, pv, g)
+        log_surv = np.log1p(-np.broadcast_to(pv, np.broadcast_shapes(pv.shape, g.shape)))
+        out = _conditional_inverse(m, log_surv, g)
     out = np.where(pv == 0.0, g, out)  # exact at the conditioning point
     return _finish(out, scalar and g.ndim == 0)
 
@@ -274,18 +282,36 @@ def conditional_quantile(m: PweModel, p, given):
 def conditional_sample(m: PweModel, n: int, given, rng: np.random.Generator) -> np.ndarray:
     """``n`` draws of T given T > ``given``; no draw is below ``given``.
 
-    ``given`` is one conditioning time for all draws or an array of ``n``,
-    one per draw; a negative entry raises ``ValueError``. Takes one uniform
-    per draw, in order: with ``u = rng.random(n)`` the draws are bit for bit
+    ``given`` takes one of three forms:
+
+    - a scalar, one conditioning time for all ``n`` draws;
+    - a 1-D array of ``n``, one conditioning time per draw;
+    - a column (shape ``(s, 1)``) of ``s`` subjects' conditioning times,
+      ``s`` dividing ``n``: subject ``i`` gets the ``n // s`` consecutive
+      draws of row ``i`` of the ``(s, n // s)`` result, which is bit for
+      bit the 1-D form with ``np.repeat(given, n // s)``, reshaped.
+
+    A negative entry raises ``ValueError``. Takes one uniform per draw, in
+    order: with ``u = rng.random(n)`` the draws are bit for bit
     ``conditional_quantile(m, np.maximum(u, tiny), given)``. The smallest
     normal float ``tiny`` stands in for U == 0, which keeps a draw at
     ``given == 0`` above 0. The probability checks of
     :func:`conditional_quantile` are skipped, as these uniforms cannot fail
-    them. Cost per draw is that of :func:`sample`, plus the cumulative
-    hazard at ``given`` (a second comparison pass per change-point and
-    three lookups) when ``given`` is an array.
+    them. Cost per draw is that of :func:`sample` plus one subtraction and
+    one maximum. The cumulative hazard at ``given`` (a comparison pass per
+    change-point and three lookups) is computed once per entry of
+    ``given``: once per draw in the 1-D form, once per subject in the
+    column form.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = np.maximum(rng.random(int(n)), _TINY)
-    return _conditional_inverse(m, u, _check_given(given))
+    g = _check_given(given)
+    shape = int(n)
+    if g.ndim == 2:
+        s = len(g)
+        shape = (s, n // s if s else 0)
+        if g.shape[1] != 1 or s * shape[1] != n:
+            raise ValueError(f"a column of conditioning times needs shape (s, 1) with s dividing n={n}")
+    u = rng.random(shape)
+    np.maximum(u, _TINY, out=u)
+    return _conditional_inverse(m, _log_surv(u), g)

@@ -121,7 +121,7 @@ class TrialSnapshot:
         """
         if data.rand_time is None or data.censor_reason is None:
             raise ValueError("snapshot needs rand_time and censor_reason fields")
-        at_risk = np.array([r == "cut" for r in data.censor_reason], dtype=bool)
+        at_risk = data.censor_reason == "cut"
         return cls(
             analysis_time=float(analysis_time),
             n_events=int(data.event.sum()),
@@ -167,18 +167,35 @@ def _param_sets(model) -> tuple[list[PweModel], PweModel | None]:
 _BLOCK = 8192  # draws per sampler call; larger blocks raise peak memory
 
 
-def _uniform_bins(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(grid, t, side="left")`` for an evenly spaced grid.
+_EPS = np.finfo(float).eps
 
-    The bin comes from arithmetic on the spacing; rounding can leave it one
-    step off near a grid point, which one comparison against ``grid`` on
-    each side corrects.
+
+def _uniform_bins(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(grid, t, side="left")`` for an evenly spaced grid,
+    for keys of any shape, ±inf included.
+
+    The bin is the ceiling of the key's position in steps from ``grid[0]``.
+    That position and the grid points themselves carry rounding errors of a
+    few units in the last place of the grid's magnitude, in steps, plus a
+    few per grid point; only keys within that band of a grid point can land
+    one bin off, and only those are compared against ``grid`` on each side.
     """
     n = len(grid)
     step = (grid[-1] - grid[0]) / (n - 1)
-    i = np.clip(np.ceil((t - grid[0]) / step), 0, n).astype(np.intp)
-    i -= (i > 0) & (grid[np.maximum(i - 1, 0)] >= t)
-    i += (i < n) & (grid[np.minimum(i, n - 1)] < t)
+    band = 8.0 * _EPS * (n + max(abs(grid[0]), abs(grid[-1])) / step)
+    if not band < 0.25:  # points within a few rounding steps of each other
+        return np.searchsorted(grid, t, side="left")
+    # keys half a step or more outside the grid are clipped to where they
+    # are far from any grid point, so they need no correction
+    x = np.clip((t - grid[0]) / step, -0.5, n - 0.5)
+    i = np.ceil(x).astype(np.intp)
+    x -= np.rint(x)
+    near = np.flatnonzero(np.abs(x, out=x) <= band)
+    if len(near):
+        k, tk = i.take(near), t.take(near)
+        k -= (k > 0) & (grid[np.maximum(k - 1, 0)] >= tk)
+        k += (k < n) & (grid[np.minimum(k, n - 1)] < tk)
+        i.put(near, k)
     return i
 
 
@@ -187,36 +204,45 @@ def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
 
     Subjects are drawn in blocks of about ``_BLOCK`` draws: one sampler
     call per block and model, conditional on elapsed follow-up for the
-    at-risk subjects and unconditional for future enrollees. Event times
-    come from one child stream of ``rng`` and censoring times from another,
-    each consumed subject by subject, so the curves do not depend on the
-    block size; ``rng`` itself draws the enrollment times.
+    at-risk subjects (one conditioning time per subject) and unconditional
+    for future enrollees. Event times come from one child stream of ``rng``
+    and censoring times from another, each consumed subject by subject, so
+    the curves do not depend on the block size; ``rng`` itself draws the
+    enrollment times.
+
+    A block's draws form a (subjects x ``n_each``) array: row ``i`` holds
+    subject ``i``'s draws and column ``j`` feeds predictive curve ``j``.
+    Enrollment times broadcast over the columns. A draw censored before its
+    event gets an infinite calendar time, so it lands with the draws past
+    the horizon in bin ``len(grid)``, one overflow bin per curve, which is
+    dropped before the counts are summed up.
     """
     event_rng, censor_rng = rng.spawn(2)
-    width = len(grid)
+    width = len(grid) + 1  # the grid's bins and the overflow bin
     counts = np.zeros(n_each * width, dtype=np.int64)
+    offsets = np.arange(n_each) * width
     per_block = max(1, _BLOCK // n_each)
     cohorts = [(snapshot.enroll_times, snapshot.elapsed)]
     if snapshot.accrual is not None:
         cohorts.append((snapshot.accrual.draw_times(snapshot.analysis_time, rng), None))
     for enroll, elapsed in cohorts:
         for lo in range(0, len(enroll), per_block):
-            u = np.repeat(enroll[lo:lo + per_block], n_each)
+            u = enroll[lo:lo + per_block, None]
+            n = u.size * n_each
             if elapsed is None:
-                t = sample(event_m, len(u), event_rng)
-                c = sample(censor_m, len(u), censor_rng) if censor_m is not None else None
+                t = sample(event_m, n, event_rng).reshape(-1, n_each)
+                c = sample(censor_m, n, censor_rng).reshape(-1, n_each) if censor_m is not None else None
             else:
-                r = np.repeat(elapsed[lo:lo + per_block], n_each)
-                t = conditional_sample(event_m, len(u), r, event_rng)
-                c = conditional_sample(censor_m, len(u), r, censor_rng) if censor_m is not None else None
-            ecal = u + t
-            keep = ecal <= grid[-1]
+                r = elapsed[lo:lo + per_block, None]
+                t = conditional_sample(event_m, n, r, event_rng)
+                c = conditional_sample(censor_m, n, r, censor_rng) if censor_m is not None else None
             if c is not None:
-                keep &= t < c
-            draw = np.flatnonzero(keep) % n_each
-            bins = _uniform_bins(grid, ecal[keep])
-            counts += np.bincount(draw * width + bins, minlength=len(counts))
-    ped = counts.reshape(n_each, width).cumsum(axis=1) + snapshot.n_events
+                t[c <= t] = np.inf
+            t += u
+            bins = _uniform_bins(grid, t)
+            bins += offsets
+            counts += np.bincount(bins.ravel(), minlength=len(counts))
+    ped = counts.reshape(n_each, width)[:, :-1].cumsum(axis=1) + snapshot.n_events
     return ped.mean(axis=0), ped
 
 

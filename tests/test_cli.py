@@ -1,7 +1,9 @@
 """The ``pwexp`` command line, run in-process, against the library calls it
 wraps, and the CSV cell format shared by every table it writes."""
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -165,6 +167,20 @@ def test_fit_matches_fit(workdir, cut_sample, optimizer):
     ts = np.linspace(0.0, float(cut_sample.time.max()), 201)
     assert np.array_equal(_floats(cols["time"]), ts)
     assert np.array_equal(_floats(cols["survival"]), dist.survival(ref.model, ts))
+
+
+def test_fit_summary_follows_redirected_stdout(workdir, cut_sample):
+    """The summary table goes to ``sys.stdout`` as it is when ``fit`` runs,
+    not as it was when the CLI module was imported."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["fit", "--in", str(workdir / "cut.csv"), "--nbreak", "1",
+                     "--optimizer", "bfs", "--seed", str(SEED)]) == 0
+    lines = buf.getvalue().splitlines()
+    ref = pw.fit(cut_sample, pw.FitConfig(nbreak=1, optimizer="bfs", seed=SEED))
+    assert len(lines) == 3
+    assert lines[1].split() == ["brk1", "lam1", "lam2", "likelihood", "AIC", "BIC"]
+    assert float(lines[2].split()[3]) == float(f"{ref.loglik:.7g}")
 
 
 def test_cv_matches_cv_loglik(workdir, cut_sample):

@@ -408,3 +408,33 @@ def test_samplers_same_with_either_lookup(r):
                          conditional_sample(m, 1000, given, np.random.default_rng(r))))
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("r", [0, 2, 50])
+def test_conditional_sample_per_subject_equals_repeated_given(r):
+    """A column of conditioning times gives each subject its consecutive
+    draws, bit for bit those of the per-draw form with every time repeated.
+    50 breaks are past ``_COUNT_MAX``, so pieces are found by binary search
+    there."""
+    m = PweModel(np.linspace(0.02, 0.3, r + 1), np.linspace(1.0, 40.0, r))
+    # 0, on a break, between breaks and past the last one
+    given = np.array([0.0, 1.0, 6.5, 17.3, 40.0, 55.0])
+    for each in (1, 7):
+        n = len(given) * each
+        rng, ref = np.random.default_rng(r), np.random.default_rng(r)
+        got = conditional_sample(m, n, given[:, None], rng)
+        want = conditional_sample(m, n, np.repeat(given, each), ref)
+        assert got.shape == (len(given), each)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()  # one uniform per draw
+    if r == 50:
+        assert r > dist._COUNT_MAX  # the binary-search branch is the one run
+
+
+def test_conditional_sample_column_shape_checked():
+    rng = np.random.default_rng(0)
+    for n, given in ((7, np.zeros((2, 1))), (6, np.zeros((2, 3))), (3, np.zeros((0, 1)))):
+        with pytest.raises(ValueError, match="column"):
+            conditional_sample(M3, n, given, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+    assert conditional_sample(M3, 0, np.zeros((0, 1)), rng).shape == (0, 0)

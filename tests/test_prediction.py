@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pwexp as pw
 import pwexp.prediction as pr
@@ -53,6 +53,27 @@ def test_accrual_plan_months():
     assert np.floor(times - 10.0).tolist() == [0, 0, 2, 2, 2, 3]
     assert pw.AccrualPlan(n_remaining=60, rate=15.0).last_month == 4.0
     assert pw.AccrualPlan(n_remaining=61, rate=15.0).last_month == 5.0
+
+
+@pytest.mark.parametrize("reasons", [
+    [None, "drop_out", "cut", "cut", None, "drop_out"],
+    [None, None, None, None, None, None],
+    ["cut"] * 6,
+], ids=["mixed", "none_at_risk", "all_at_risk"])
+def test_snapshot_from_cut_sample(reasons):
+    """Only subjects censored at the cut are at risk; events are counted
+    over the whole sample."""
+    rand = np.array([1.0, 2.5, 3.0, 4.25, 6.0, 7.5])
+    event = np.array([1, 0, 0, 0, 1, 0]) * np.array([r is None for r in reasons])
+    data = pw.SurvSample(time=10.0 - rand, event=event, rand_time=rand,
+                         follow_abs_time=np.full(6, 10.0),
+                         censor_reason=np.array(reasons, dtype=object))
+    plan = pw.AccrualPlan(n_remaining=3, rate=2.0)
+    snap = pw.TrialSnapshot.from_cut_sample(data, 10.0, plan)
+    at_risk = np.array([r == "cut" for r in reasons], dtype=bool)
+    assert snap.enroll_times.dtype == float
+    assert snap.enroll_times.tobytes() == rand[at_risk].tobytes()
+    assert (snap.analysis_time, snap.n_events, snap.accrual) == (10.0, event.sum(), plan)
 
 
 class TestExponentialOracle:
@@ -117,6 +138,32 @@ class TestCurves:
         np.testing.assert_array_equal(ped, want)
         np.testing.assert_array_equal(ed, want.mean(axis=0))
 
+    def test_matches_per_subject_loop_when_most_draws_overflow(self, snapshot):
+        """The reference loop of ``test_matches_per_subject_loop`` with heavy
+        censoring and a short horizon: most draws are censored first or
+        fall past the grid, into the overflow bin."""
+        event_m, censor_m = pw.PweModel((0.1, 0.05), (6.0,)), pw.PweModel((0.8, 0.3), (1.0,))
+        grid = np.linspace(T0, T0 + 2.0, 41)
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        ed, ped = pr._simulate_curves(event_m, censor_m, snapshot, 30, grid, rng)
+
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        event_rng, censor_rng = rng.spawn(2)
+        counts = np.zeros((30, len(grid)), dtype=int)
+        subjects = [(u, pw.conditional_sample(event_m, 30, r, event_rng),
+                     pw.conditional_sample(censor_m, 30, r, censor_rng))
+                    for u, r in zip(snapshot.enroll_times, snapshot.elapsed)]
+        subjects += [(u, pw.sample(event_m, 30, event_rng), pw.sample(censor_m, 30, censor_rng))
+                     for u in snapshot.accrual.draw_times(T0, rng)]
+        for u, t, c in subjects:
+            gi = np.searchsorted(grid, u + t, side="left")
+            hit = (t < c) & (gi < len(grid))
+            np.add.at(counts, (np.flatnonzero(hit), gi[hit]), 1)
+        assert 0 < counts.sum() < 0.2 * 30 * len(subjects)
+        want = counts.cumsum(axis=1) + snapshot.n_events
+        np.testing.assert_array_equal(ped, want)
+        np.testing.assert_array_equal(ed, want.mean(axis=0))
+
     @pytest.mark.parametrize("block", [1, 777, 8192])
     def test_block_size_does_not_change_result(self, monkeypatch, snapshot, block):
         ref = _predict(snapshot)
@@ -146,26 +193,35 @@ class TestCurves:
 
 @st.composite
 def grids_and_keys(draw):
-    """A calendar grid as ``predict_events`` builds it, and keys on grid
-    points, one float step either side of them, or anywhere around it."""
-    t0 = draw(st.floats(0.0, 100.0))
+    """A calendar grid as ``predict_events`` builds it, near 0 or far from
+    it, and keys on grid points, one float step either side of them, ±inf,
+    or anywhere around the grid."""
+    t0 = draw(st.floats(0.0, 100.0) | st.floats(0.0, 1e6))
     grid = np.linspace(t0, t0 + draw(st.floats(1e-3, 200.0)), draw(st.integers(2, 400)) + 1)
     on = st.sampled_from(grid.tolist())
     key = (
         on
         | on.map(lambda g: np.nextafter(g, np.inf))
         | on.map(lambda g: np.nextafter(g, -np.inf))
-        | st.sampled_from([grid[-1], np.nextafter(grid[0], np.inf)])
+        | st.sampled_from([grid[-1], np.nextafter(grid[0], np.inf), np.inf, -np.inf])
         | st.floats(grid[0] - 1.0, grid[-1] + 1.0)
     )
     return grid, np.array(draw(st.lists(key, min_size=1, max_size=50)))
 
 
+# a grid whose spacing is a few units in the last place of its points
+FINE_GRID = np.linspace(1e6, 1e6 + 1e-9, 5)
+
+
 @settings(max_examples=300, deadline=None)
 @given(grids_and_keys())
+@example((FINE_GRID, np.array([*FINE_GRID, *np.nextafter(FINE_GRID, np.inf), 1e6 - 1.0, np.inf])))
 def test_uniform_bins_equal_searchsorted(case):
     grid, keys = case
-    np.testing.assert_array_equal(pr._uniform_bins(grid, keys), np.searchsorted(grid, keys, side="left"))
+    want = np.searchsorted(grid, keys, side="left")
+    np.testing.assert_array_equal(pr._uniform_bins(grid, keys), want)
+    # a block of draws is binned as one 2-D array
+    np.testing.assert_array_equal(pr._uniform_bins(grid, keys.reshape(-1, 1)), want.reshape(-1, 1))
 
 
 class TestTracedBindings:
