@@ -97,6 +97,8 @@ class TrialSnapshot:
         enroll = np.asarray(self.enroll_times, dtype=float)
         if self.n_events < 0:
             raise ValueError("n_events must be nonnegative")
+        if not (np.isfinite(self.analysis_time) and np.isfinite(enroll).all()):
+            raise ValueError("analysis_time and enroll_times must be finite")
         if np.any(enroll > self.analysis_time):
             raise ValueError("at-risk subjects must have enrolled by the analysis time")
         object.__setattr__(self, "enroll_times", enroll)
@@ -289,8 +291,8 @@ def predict_events(
         accrual_end = t0 + (snapshot.accrual.last_month if snapshot.accrual else 0.0)
         span = float(snapshot.elapsed.max()) if len(snapshot.enroll_times) else 1.0
         horizon = accrual_end + max(span, 1.0)
-    if horizon <= t0:
-        raise ValueError("horizon must exceed the analysis time")
+    if not (np.isfinite(horizon) and horizon > t0):
+        raise ValueError("horizon must be finite and exceed the analysis time")
     grid = np.linspace(t0, float(horizon), grid_points + 1)
 
     payloads = []
@@ -319,14 +321,9 @@ def predict_events(
     )
 
 
-def _percentile_rows(curves: np.ndarray, point: np.ndarray, grid, times, level):
-    vals = np.array([np.interp(times, grid, c) for c in curves])
-    lo, hi = np.quantile(vals, [level / 2.0, 1.0 - level / 2.0], axis=0)
-    return np.column_stack([times, np.interp(times, grid, point), lo, hi])
-
-
 def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.ndarray:
-    """The curves an interval of ``kind`` summarises, after checking ``level``."""
+    """The point curve, then the curves an interval of ``kind`` summarises,
+    one per row, after checking ``level``."""
     if not 0.0 < level <= 1.0:
         raise ValueError("level must be in (0, 1]")
     if kind == "confidence":
@@ -335,10 +332,30 @@ def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.nda
                 "confidence intervals need a bootstrap ensemble; fit with boot_fit "
                 "or request kind='predictive'"
             )
-        return ens.expected
+        return np.vstack([ens.point, ens.expected])
     if kind == "predictive":
-        return ens.predictive
+        return np.vstack([ens.point, ens.predictive])
     raise ValueError("kind must be 'confidence' or 'predictive'")
+
+
+def _summary_rows(first: np.ndarray, values: np.ndarray, level: float) -> np.ndarray:
+    """Rows of (first, point, lower, upper) from ``values``, one row per
+    curve of :func:`_interval_curves`; a non-finite point or bound is NaN."""
+    with np.errstate(invalid="ignore"):  # bounds between never-reached (inf) crossings
+        lo, hi = np.quantile(values[1:], [level / 2.0, 1.0 - level / 2.0], axis=0)
+    rows = np.column_stack([first, values[0], lo, hi])
+    rows[:, 1:][~np.isfinite(rows[:, 1:])] = np.nan
+    return rows
+
+
+def _at_times(curves: np.ndarray, grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``np.interp(times, grid, c)`` for every row ``c`` of ``curves``, bit
+    for bit, from one bracket search of ``times`` in ``grid``."""
+    j = np.clip(np.searchsorted(grid, times, side="right") - 1, 0, len(grid) - 2)
+    x0, x1 = grid[j], grid[j + 1]
+    y0, y1 = curves[:, j], curves[:, j + 1]
+    # a time at or before x0 gives y0 + 0, one at or past x1 gives y1, NaN gives NaN
+    return np.where(times >= x1, y1, (y1 - y0) / (x1 - x0) * (np.clip(times, x0, x1) - x0) + y0)
 
 
 def event_interval(
@@ -349,30 +366,37 @@ def event_interval(
     ``confidence`` takes percentiles of the expected curves across bootstrap
     replicates (model uncertainty only, so a bootstrap ensemble is
     required); ``predictive`` takes percentiles of the pooled
-    single-generation draws and is never narrower.
+    single-generation draws and is never narrower. Curves are interpolated
+    on the grid: a time before the analysis time takes their first values
+    (the observed count), one past the horizon their last values, and a
+    NaN time gives NaN cells.
     """
     curves = _interval_curves(ens, level, kind)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _percentile_rows(curves, ens.point, ens.grid, times, level)
+    return _summary_rows(times, _at_times(curves, ens.grid, times), level)
 
 
-def _crossing_times(curves: np.ndarray, grid: np.ndarray, target: float) -> np.ndarray:
-    """First time each non-decreasing curve reaches ``target`` (inf if never)."""
-    curves = np.atleast_2d(curves)
+def _crossing_times(curves: np.ndarray, grid: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """First time each non-decreasing curve (row) reaches each target, by
+    linear interpolation on the grid: ``grid[0]`` if it starts there,
+    ``inf`` if it never does."""
     n, g = curves.shape
-    idx = (curves < target).sum(axis=1)
-    out = np.empty(n)
-    never = idx >= g
-    at_start = idx == 0
-    mid = ~never & ~at_start
-    out[never] = np.inf
-    out[at_start] = grid[0]
-    if mid.any():
-        i = idx[mid]
-        c0 = curves[mid, i - 1]
-        c1 = curves[mid, i]
-        out[mid] = grid[i - 1] + (target - c0) * (grid[i] - grid[i - 1]) / (c1 - c0)
-    return out
+    rows = np.arange(n)[:, None]
+    # one binary search of every curve for every target: below grows by halving
+    # steps to the curve's count of values under the target, its crossing index
+    below = np.zeros((n, len(targets)), dtype=np.intp)
+    step = 1 << (g.bit_length() - 1)
+    while step:
+        probe = below + step
+        under = (probe <= g) & (curves[rows, np.minimum(probe, g) - 1] < targets)
+        below = np.where(under, probe, below)
+        step >>= 1
+    cross = np.where(below == 0, grid[0], np.inf)
+    c, t = np.nonzero((below > 0) & (below < g))
+    i = below[c, t]
+    c0, c1 = curves[c, i - 1], curves[c, i]
+    cross[c, t] = grid[i - 1] + (targets[t] - c0) * (grid[i] - grid[i - 1]) / (c1 - c0)
+    return cross
 
 
 def timeline_for_events(
@@ -381,38 +405,18 @@ def timeline_for_events(
     """Rows of (n_event, time, lower, upper): when each target count is hit.
 
     Each curve is inverted by linear interpolation on the grid; percentile
-    summaries run over the per-replicate (or per-draw) crossing times. A
-    bound is NaN when the corresponding percentile of curves never reaches
-    the target within the horizon. Targets at or below the observed count
-    return the analysis time.
+    summaries run over the per-replicate (or per-draw) crossing times. The
+    point or a bound is NaN when the point curve or that percentile of
+    curves never reaches the target within the horizon. Targets at or below
+    the observed count return the analysis time, where every curve starts;
+    a target below it warns.
     """
     curves = _interval_curves(ens, level, kind)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
-    rows = np.empty((len(targets), 4))
-    for i, target in enumerate(targets):
-        if target < ens.base_events:
-            _warnings.warn(
-                f"target {target:g} is below the {ens.base_events} events already "
-                "observed; returning the analysis time",
-                stacklevel=2,
-            )
-            rows[i] = (target, ens.analysis_time, ens.analysis_time, ens.analysis_time)
-            continue
-        point = _crossing_times(ens.point[None, :], ens.grid, target)[0]
-        cross = _crossing_times(curves, ens.grid, target)
-        with np.errstate(invalid="ignore"):
-            # interpolating against never-reached (inf) crossings yields
-            # inf/nan, both reported as a missing bound
-            lo = np.quantile(cross, lo_q)
-            hi = np.quantile(cross, hi_q)
-        rows[i] = (
-            target,
-            point if np.isfinite(point) else np.nan,
-            lo if np.isfinite(lo) else np.nan,
-            hi if np.isfinite(hi) else np.nan,
-        )
-    return rows
+    for target in targets[targets < ens.base_events]:
+        _warnings.warn(f"target {target:g} is below the {ens.base_events} events already "
+                       "observed; returning the analysis time", stacklevel=2)
+    return _summary_rows(targets, _crossing_times(curves, ens.grid, targets), level)
 
 
 def write_interval_csv(rows: np.ndarray, path, timeline: bool = False):

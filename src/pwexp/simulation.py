@@ -212,13 +212,6 @@ def simulate_trial(design: TrialDesign, seed: int | np.random.Generator) -> Tria
     """
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, 0)
     total = design.total
-    if total == 0:
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, dtype=int)
-        empty_o = np.empty(0, dtype=object)
-        return TrialFrame(empty_i, empty_o, empty_o, empty_f, empty_f, empty_f,
-                          empty_f, empty_f, empty_f, empty_i.astype(np.int8),
-                          empty_i.astype(np.int8), empty_o)
     month = _enrol_months(total, design.rand_rate, design.n_rand)
     randT = month + rng.random(total)  # uniform enrollment within each accrual month
 
@@ -393,8 +386,8 @@ def sim_followup(
     if rep < 1:
         raise ValueError("rep must be >= 1")
     at = [float(a) for a in at]
-    if any(a <= 0 for a in at):
-        raise ValueError("milestones must be positive")
+    if not at or any(a <= 0 for a in at):
+        raise ValueError("milestones must be nonempty and positive")
     bad = set(follow_up_endpoint) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")

@@ -1,5 +1,6 @@
 """The ``pwexp`` command line, run in-process, against the library calls it
 wraps, and the CSV cell format shared by every table it writes."""
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import pwexp as pw
 from pwexp import distribution as dist
 from pwexp import survdata
-from pwexp.cli import main
+from pwexp.cli import build_parser, main
 from pwexp.survdata import read_survival_csv, write_table
 
 from conftest import assert_same_sample, reference_read_survival_csv
@@ -286,6 +287,23 @@ def test_predict_timeline_flags_go_together(workdir, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_predict_rejects_a_nan_enrollment_time(workdir, cut_sample, tmp_path, capsys):
+    """A NaN rand time of an at-risk subject once made the default horizon,
+    and so the whole grid, NaN."""
+    cols = _columns(workdir / "cut.csv")
+    cols["randT"][cols["censor_reason"].index("cut")] = "nan"
+    bad = tmp_path / "cut_nan.csv"
+    write_table(bad, cols)
+    model = tmp_path / "fit_exp.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(model)
+    out = tmp_path / "out.csv"
+    assert main(["predict", "--in", str(bad), "--model", str(model), "--analysis_time", str(CUT),
+                 "--kind", "predictive", "--eval_at", "22,26", "--seed", str(SEED),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("pwexp predict: error: ")
+    assert not out.exists()
+
+
 def test_followup_matches_sim_followup(workdir):
     out = workdir / "followup.csv"
     argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",
@@ -302,6 +320,13 @@ def test_followup_matches_sim_followup(workdir):
                 assert cells == want
             else:
                 np.testing.assert_array_equal(_floats(cells), want)
+
+
+def test_followup_rejects_no_milestones(tmp_path, capsys):
+    out = tmp_path / "followup.csv"
+    assert main(["followup", *DESIGN_ARGS, "--at", ",", "--rep", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("pwexp followup: error: ")
+    assert not out.exists()
 
 
 def test_dist_matches_survival(workdir):
@@ -456,3 +481,48 @@ def test_float_columns_round_trip_exactly(roundtrip_path, rows):
     assert back.rand_time.tobytes() == rand.astype(float).tobytes()
     assert np.array_equal(back.event, event)
     assert list(back.censor_reason) == list(reason)
+
+
+def test_public_names_and_flags_are_pinned():
+    """The package's public names and every subcommand's options. Dropping or
+    renaming one breaks callers, so it needs a CHANGES.md entry and an edit
+    here."""
+    assert sorted(pw.__all__) == sorted([
+        "PweModel", "hazard", "cumulative_hazard", "density", "survival", "cdf",
+        "quantile", "sample", "conditional_survival", "conditional_cdf",
+        "conditional_quantile", "conditional_sample",
+        "SurvSample", "KmCurve", "km_fit", "cut_data", "read_survival_csv", "write_table",
+        "PieceTally", "FitConfig", "FitResult", "piece_tally", "loglik",
+        "mle_given_breakpoints", "validate_breakpoints", "fit_bfs", "fit_ols",
+        "fit_hybrid", "fit", "BootFit", "CvResult", "boot_fit", "cv_loglik",
+        "AccrualPlan", "TrialSnapshot", "PredictionEnsemble", "predict_events",
+        "event_interval", "timeline_for_events",
+        "ArmModel", "TrialDesign", "TrialFrame", "simulate_trial",
+        "sim_followup", "SimFollowup", "prop_above",
+        "PwexpError", "EmptyPieceError", "NoFeasibleModelError", "__version__",
+    ])
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {cmd: {s for a in p._actions for s in a.option_strings} for cmd, p in sub.choices.items()}
+    data = {"-h", "--help", "--in", "--time-col", "--event-col"}
+    calendar = {"--rand-time-col", "--follow-abs-time-col", "--censor-reason-col", "--id-col"}
+    fitconfig = {"--nbreak", "--fixed_breakpoints", "--optimizer", "--max_set", "--min_pt_tail",
+                 "--exclude_int", "--seed"}
+    design = {"-h", "--help", "--rand_rate", "--total_sample", "--n_rand", "--groups", "--strata",
+              "--event", "--death", "--drop_rate", "--iid_allocation", "--seed"}
+    assert flags == {
+        "dist": {"-h", "--help", "--rates", "--breaks", "--breakpoints", "--at", "--given", "--out",
+                 "--survival", "--density", "--cdf", "--hazard", "--quantile"},
+        "simulate": design | {"--out"},
+        "cut": data | calendar | {"--cut", "--out"},
+        "km": data | {"--out"},
+        "fit": data | fitconfig | {"--out", "--curve-out"},
+        "boot": data | fitconfig | {"--nsim", "--threads", "--out"},
+        "cv": data | fitconfig | {"--nsim", "--threads", "--out"},
+        "predict": data | calendar | {
+            "--model", "--censor_model", "--analysis_time", "--n_remaining", "--rate",
+            "--monthly_counts", "--n_each", "--horizon", "--grid_points", "--eval_at", "--level",
+            "--kind", "--xyswitch", "--timeline_at", "--timeline_out", "--seed", "--threads",
+            "--out"},
+        "followup": design | {"--at", "--type", "--stat", "--by_group", "--rep",
+                              "--follow_up_endpoint", "--threads", "--out", "--group_out"},
+    }

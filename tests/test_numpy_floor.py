@@ -1,12 +1,13 @@
 """The package must run on numpy 1.25, the floor in pyproject.toml, which no
-test environment here has installed. This scans the source for numpy names
-and keywords that arrived in numpy 2 instead."""
+test environment here has installed. This scans the source, the tests and
+the benchmark for numpy names and keywords that arrived in numpy 2 instead."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pwexp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pwexp"
 
 # attributes of the numpy namespace (dotted below it) that numpy 1.25 lacks
 NUMPY2_NAMES = {
@@ -65,6 +66,13 @@ def numpy2_uses(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_source_uses_no_numpy2_only_api(path):
+    assert numpy2_uses(path.read_text()) == []
+
+
+# the CI entry on numpy 1.25 runs the tests and the benchmark as well
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_tests_and_benchmark_use_no_numpy2_only_api(path):
     assert numpy2_uses(path.read_text()) == []
 
 

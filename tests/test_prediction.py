@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -262,10 +263,177 @@ class TestPercentileRows:
         curves = np.cumsum(rng.integers(0, 9, (40, 61)), axis=1).astype(float)
         point = curves.mean(axis=0)
         times = np.array([T0, 33.3, 61.0, 90.0, 120.0])
-        rows = pr._percentile_rows(curves, point, grid, times, 0.1)
+        ens = pr.PredictionEnsemble(grid=grid, point=point, expected=curves, predictive=curves,
+                                    n_each=1, analysis_time=T0, base_events=0, total_subjects=500)
+        rows = pw.event_interval(ens, times, level=0.1)
         for i, t in enumerate(times):
             vals = [np.interp(t, grid, c) for c in curves]
             assert rows[i, 0] == t
             assert rows[i, 1] == np.interp(t, grid, point)
             assert rows[i, 2] == np.quantile(vals, 0.05)
             assert rows[i, 3] == np.quantile(vals, 0.95)
+
+
+# The per-curve and per-target summaries that event_interval and
+# timeline_for_events replaced, kept as their reference (for valid
+# arguments: they skip the checks of level and kind).
+
+
+def reference_event_interval(ens, times, level=0.05, kind="confidence"):
+    curves = ens.expected if kind == "confidence" else ens.predictive
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    vals = np.array([np.interp(times, ens.grid, c) for c in curves])
+    lo, hi = np.quantile(vals, [level / 2.0, 1.0 - level / 2.0], axis=0)
+    return np.column_stack([times, np.interp(times, ens.grid, ens.point), lo, hi])
+
+
+def reference_crossing_times(curves, grid, target):
+    curves = np.atleast_2d(curves)
+    n, g = curves.shape
+    idx = (curves < target).sum(axis=1)
+    out = np.empty(n)
+    never = idx >= g
+    at_start = idx == 0
+    mid = ~never & ~at_start
+    out[never] = np.inf
+    out[at_start] = grid[0]
+    if mid.any():
+        i = idx[mid]
+        c0 = curves[mid, i - 1]
+        c1 = curves[mid, i]
+        out[mid] = grid[i - 1] + (target - c0) * (grid[i] - grid[i - 1]) / (c1 - c0)
+    return out
+
+
+def reference_timeline_for_events(ens, targets, level=0.05, kind="confidence"):
+    curves = ens.expected if kind == "confidence" else ens.predictive
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
+    rows = np.empty((len(targets), 4))
+    for i, target in enumerate(targets):
+        if target < ens.base_events:
+            warnings.warn(
+                f"target {target:g} is below the {ens.base_events} events already "
+                "observed; returning the analysis time",
+                stacklevel=2,
+            )
+            rows[i] = (target, ens.analysis_time, ens.analysis_time, ens.analysis_time)
+            continue
+        point = reference_crossing_times(ens.point[None, :], ens.grid, target)[0]
+        cross = reference_crossing_times(curves, ens.grid, target)
+        with np.errstate(invalid="ignore"):
+            lo = np.quantile(cross, lo_q)
+            hi = np.quantile(cross, hi_q)
+        rows[i] = (
+            target,
+            point if np.isfinite(point) else np.nan,
+            lo if np.isfinite(lo) else np.nan,
+            hi if np.isfinite(hi) else np.nan,
+        )
+    return rows
+
+
+@st.composite
+def summary_cases(draw):
+    """An ensemble of non-decreasing curves that start at or above the
+    observed count: steps of 0 (flat stretches, ties between curves) to 3,
+    integer predictive curves and expected curves on a finer scale, one
+    curve or several. Times lie on, one float step off, between and outside
+    the grid points, or are ±inf or NaN; targets are curve values, between
+    them, below the observed count, never reached, ±inf or NaN."""
+    g = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 8))
+    base = draw(st.integers(0, 5))
+    grid = np.linspace(T0, T0 + draw(st.floats(0.5, 90.0)), g)
+    steps = np.array(draw(st.lists(st.lists(st.integers(0, 3) | st.just(0), min_size=g, max_size=g),
+                                   min_size=n + 1, max_size=n + 1)))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3]))
+    predictive = base + np.cumsum(steps[1:], axis=1)
+    expected = base + np.cumsum(steps[1:] * scale, axis=1)
+    point = expected.mean(axis=0) if draw(st.booleans()) else base + np.cumsum(steps[0] * scale)
+    ens = pr.PredictionEnsemble(grid=grid, point=point, expected=expected, predictive=predictive,
+                                n_each=1, analysis_time=T0, base_events=base, total_subjects=100)
+    on = st.sampled_from(grid.tolist())
+    time = (on | on.map(lambda x: np.nextafter(x, np.inf)) | on.map(lambda x: np.nextafter(x, -np.inf))
+            | st.floats(T0 - 10.0, grid[-1] + 10.0) | st.sampled_from([np.inf, -np.inf, np.nan]))
+    values = np.concatenate([predictive.ravel(), expected.ravel(), point])
+    target = (st.sampled_from(values.tolist()) | st.floats(base - 3.0, values.max() + 3.0)
+              | st.sampled_from([np.inf, -np.inf, np.nan, values.max() + 0.5]))
+    times = draw(st.lists(time, max_size=12))
+    targets = draw(st.lists(target, max_size=12))
+    kind = "predictive" if n == 1 else draw(st.sampled_from(["confidence", "predictive"]))
+    level = draw(st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.01, 1.0))
+    return ens, times, targets, level, kind
+
+
+def _summaries(ens, times, targets, level, kind, interval, timeline):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = interval(ens, times, level, kind), timeline(ens, targets, level, kind)
+    return rows, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+# interpolating the first expected curve to the last grid point misses its
+# last value by one rounding
+THIRDS = np.cumsum([[1, 0, 0, 0, 0, 0, 2], [0, 1, 1, 0, 2, 0, 1]], axis=1) / 3.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(summary_cases())
+@example((pr.PredictionEnsemble(np.linspace(T0, 40.0, 5), np.full(5, 2.0), np.full((2, 5), 2.0),
+                                np.full((2, 5), 2), 1, T0, 2, 10), [], [], 1.0, "confidence"))
+@example((pr.PredictionEnsemble(np.linspace(T0, T0 + 0.5, 7), THIRDS[0], THIRDS, THIRDS, 1, T0, 0, 10),
+          [T0 + 0.5], [], 1.0, "confidence"))
+def test_summaries_equal_reference(case):
+    """Both summaries equal the per-curve and per-target reference bit for
+    bit, NaN cells included, and warn alike for targets below the base."""
+    got, got_warned = _summaries(*case, pw.event_interval, pw.timeline_for_events)
+    want, want_warned = _summaries(*case, reference_event_interval, reference_timeline_for_events)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+    assert got_warned == want_warned
+
+
+def test_summaries_of_a_real_ensemble_equal_reference(snapshot):
+    ens = _predict(snapshot)
+    times = np.concatenate([ens.grid[::7], np.linspace(T0 - 1.0, ens.grid[-1] + 1.0, 23)])
+    targets = np.linspace(snapshot.n_events, snapshot.max_new_events + 5, 31)
+    for kind in ("confidence", "predictive"):
+        for level in (0.05, 0.5, 1.0):
+            got, _ = _summaries(ens, times, targets, level, kind,
+                                pw.event_interval, pw.timeline_for_events)
+            want, _ = _summaries(ens, times, targets, level, kind,
+                                 reference_event_interval, reference_timeline_for_events)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_below_base_targets_warn_once_each_from_the_caller():
+    ens = _predict(pw.TrialSnapshot(analysis_time=T0, n_events=40, enroll_times=np.full(20, 5.0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = pw.timeline_for_events(ens, [39.0, 40.0, 12.5, 41.0, np.nan])
+    assert [str(w.message) for w in caught] == [
+        "target 39 is below the 40 events already observed; returning the analysis time",
+        "target 12.5 is below the 40 events already observed; returning the analysis time",
+    ]
+    assert {w.filename for w in caught} == {__file__}
+    np.testing.assert_array_equal(rows[[0, 1, 2], 1:], T0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("analysis_time, enroll", [
+        (np.nan, [1.0, 2.0]),
+        (np.inf, [1.0, 2.0]),
+        (30.0, [1.0, np.nan, 3.0]),
+        (30.0, [-np.inf, 3.0]),
+    ])
+    def test_snapshot_rejects(self, analysis_time, enroll):
+        with pytest.raises(ValueError, match="must be finite"):
+            pw.TrialSnapshot(analysis_time, 5, enroll)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_predict_events_rejects_horizon(self, snapshot, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            _predict(snapshot, horizon=horizon)

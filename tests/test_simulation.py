@@ -42,6 +42,33 @@ def test_n_rand_counts_fill_their_months():
     assert np.floor(frame.randT).tolist() == [0, 0, 0, 2, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("iid", [False, True], ids=["exact", "iid"])
+@pytest.mark.parametrize("enrol", [dict(rand_rate=10, total_sample=0), dict(n_rand=(0, 0))],
+                         ids=["rate", "counts"])
+def test_empty_trial(enrol, iid):
+    """A trial with no subjects has every column of a nonempty one, empty,
+    draws nothing from a passed generator and warns of nothing."""
+    kw = dict(groups=(("trt", 1.0), ("con", 2.0)), drop_rate=0.03, iid_allocation=iid,
+              dists=pw.ArmModel(event=pw.PweModel((0.1,)), death=pw.PweModel((0.01,))))
+    full = pw.simulate_trial(pw.TrialDesign(rand_rate=10, total_sample=5, **kw), seed=1)
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = pw.simulate_trial(pw.TrialDesign(**enrol, **kw), rng)
+    assert rng.bit_generator.state == state
+    assert len(frame) == 0
+    for name, col in vars(frame).items():
+        assert (col.shape, col.dtype) == ((0,), getattr(full, name).dtype), name
+
+
+def test_sim_followup_needs_a_milestone(monkeypatch):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match="milestones must be nonempty"):
+        sim_followup(design, at=[], rep=2, seed=0)
+
+
 @pytest.mark.parametrize("kind, column", [("event", "event"), ("sample", "subjects")])
 def test_count_milestone_is_reached_exactly(kind, column):
     # the cut is the k-th event (or randomization) time, so every replicate
