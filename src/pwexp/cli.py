@@ -27,7 +27,7 @@ from .prediction import (
 )
 from .resampling import BootFit, boot_fit, cv_loglik
 from .simulation import ArmModel, TrialDesign, prop_above, sim_followup, simulate_trial
-from .survdata import cut_data, km_fit, read_survival_csv, write_table
+from .survdata import _format_column, cut_data, km_fit, read_survival_csv, write_table
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -219,7 +219,7 @@ def _cmd_dist(args, argv):
         write_table(args.out, {"at": at, "value": vals})
         _write_manifest(args.out, "dist", argv)
     else:
-        rows = [f"{a!r},{v!r}" for a, v in zip(at.tolist(), vals.tolist())]
+        rows = map(",".join, zip(_format_column(at), _format_column(vals)))
         print("\n".join(["at,value", *rows]))
     return 0
 

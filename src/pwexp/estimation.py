@@ -75,7 +75,7 @@ def piece_tally(breakpoints, data: SurvSample) -> PieceTally:
     """Event counts, exposure times, and suffix counts per hazard piece."""
     _check_sample(data, need_event=False)
     b = _check_breakpoints(breakpoints)
-    view = _Sorted(data)
+    view = data._sorted
     n_events, exposure = view.tally(b[None, :])
     return PieceTally(
         breakpoints=tuple(float(x) for x in b),
@@ -192,7 +192,7 @@ def validate_breakpoints(breakpoints, data: SurvSample) -> tuple[tuple[float, ..
     between them are replaced by their average. The cleaned vector always
     satisfies the precondition of :func:`mle_given_breakpoints`.
     """
-    view = _Sorted(data)
+    view = data._sorted
     n_events = view.cum_events[-1]
     if n_events == 0:
         raise ValueError("breakpoint validation requires at least one event")
@@ -390,7 +390,7 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     free = config.nbreak - len(config.fixed_breakpoints)
     if free < 1:
         raise ValueError("fit_bfs requires at least one unknown change-point")
-    view = _Sorted(data)
+    view = data._sorted
     cands = _candidate_values(view, config)
     if len(view.event_times) <= config.nbreak:
         raise NoFeasibleModelError("need more distinct event times than change-points")
@@ -762,8 +762,7 @@ class _OlsSearch:
 
     def __init__(self, data: SurvSample, config: FitConfig):
         self.data, self.config = data, config
-        self.view = _Sorted(data)
-        self.x, self.y = self.view.km().log_points()
+        self.x, self.y = data._sorted.km().log_points()
         if len(self.x) < 2 * (config.nbreak + 1):
             raise NoFeasibleModelError(
                 f"need at least {2 * (config.nbreak + 1)} positive-survival event steps, got {len(self.x)}"
@@ -785,22 +784,23 @@ class _OlsSearch:
         of squares. Returns (all change-points, the free ones, their
         standard errors or None after the fallback, warnings)."""
         config, fixed, free = self.config, self.config.fixed_breakpoints, self.free
+        view = self.data._sorted
         if free == 0:
             return np.asarray(fixed), [], [], []
         if seg.converged:
             row = _merge_fixed(np.array([seg.psi]), fixed)
             lo, hi = config.exclude_int or (np.inf, np.inf)
-            if _profile(self.view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
+            if _profile(view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
                 return row[0], list(seg.psi), list(seg.se), []
             reason = "segmented solution violated feasibility constraints"
         else:
             reason = "segmented regression did not converge"
-        cands = _candidate_values(self.view, config)
+        cands = _candidate_values(view, config)
         if len(cands) < free:
             raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
         rows = _candidate_combos(cands, free, config.max_set, self.rng)
         score = lambda B: -_screen_sse(self.x, self.y, B)
-        B, i, _ = _search(self.view, rows, config, "OLS fallback combination", score=score)
+        B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
         return B[i], [float(p) for p in rows[i]], None, [f"{reason}; grid fallback used"]
 
     def ols_result(self, seg: SegmentedFit) -> FitResult:
@@ -814,7 +814,7 @@ class _OlsSearch:
 
     def hybrid_result(self, seg: SegmentedFit) -> FitResult:
         """See :func:`fit_hybrid`."""
-        config, view = self.config, self.view
+        config, view = self.config, self.data._sorted
         _, psi, se, warnings = self.breakpoints(seg)
         cands = _candidate_values(view, config)
         if len(cands) < self.free:
@@ -999,8 +999,7 @@ def _fit_batch(samples: Sequence[SurvSample], configs: Sequence[FitConfig]) -> l
         groups.setdefault((search.free, len(cfg.fixed_breakpoints)), []).append((i, warnings, search))
     for group in groups.values():
         segs = _segmented_fits([search.problem() for _, _, search in group])
-        while group:  # a finished search is dropped at once, with its sorted view
-            (i, warnings, search), seg = group.pop(0), segs.pop(0)
+        for (i, warnings, search), seg in zip(group, segs):
             finish = search.ols_result if search.config.optimizer == "ols" else search.hybrid_result
             try:
                 out[i] = finish(seg)

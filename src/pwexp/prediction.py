@@ -322,8 +322,8 @@ def predict_events(
 
 
 def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.ndarray:
-    """The point curve, then the curves an interval of ``kind`` summarises,
-    one per row, after checking ``level``."""
+    """The curves, one per row, that an interval of ``kind`` summarises,
+    after checking ``level``."""
     if not 0.0 < level <= 1.0:
         raise ValueError("level must be in (0, 1]")
     if kind == "confidence":
@@ -332,18 +332,19 @@ def _interval_curves(ens: PredictionEnsemble, level: float, kind: str) -> np.nda
                 "confidence intervals need a bootstrap ensemble; fit with boot_fit "
                 "or request kind='predictive'"
             )
-        return np.vstack([ens.point, ens.expected])
+        return ens.expected
     if kind == "predictive":
-        return np.vstack([ens.point, ens.predictive])
+        return ens.predictive
     raise ValueError("kind must be 'confidence' or 'predictive'")
 
 
-def _summary_rows(first: np.ndarray, values: np.ndarray, level: float) -> np.ndarray:
-    """Rows of (first, point, lower, upper) from ``values``, one row per
-    curve of :func:`_interval_curves`; a non-finite point or bound is NaN."""
+def _summary_rows(first: np.ndarray, point: np.ndarray, values: np.ndarray, level: float) -> np.ndarray:
+    """Rows of (first, point, lower, upper), the bounds taken over
+    ``values`` (one row per curve of :func:`_interval_curves`); a
+    non-finite point or bound is NaN."""
     with np.errstate(invalid="ignore"):  # bounds between never-reached (inf) crossings
-        lo, hi = np.quantile(values[1:], [level / 2.0, 1.0 - level / 2.0], axis=0)
-    rows = np.column_stack([first, values[0], lo, hi])
+        lo, hi = np.quantile(values, [level / 2.0, 1.0 - level / 2.0], axis=0)
+    rows = np.column_stack([first, point, lo, hi])
     rows[:, 1:][~np.isfinite(rows[:, 1:])] = np.nan
     return rows
 
@@ -373,13 +374,14 @@ def event_interval(
     """
     curves = _interval_curves(ens, level, kind)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _summary_rows(times, _at_times(curves, ens.grid, times), level)
+    point = _at_times(ens.point[None, :], ens.grid, times)[0]
+    return _summary_rows(times, point, _at_times(curves, ens.grid, times), level)
 
 
 def _crossing_times(curves: np.ndarray, grid: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """First time each non-decreasing curve (row) reaches each target, by
     linear interpolation on the grid: ``grid[0]`` if it starts there,
-    ``inf`` if it never does."""
+    ``inf`` if it never does, NaN for a NaN target."""
     n, g = curves.shape
     rows = np.arange(n)[:, None]
     # one binary search of every curve for every target: below grows by halving
@@ -392,6 +394,7 @@ def _crossing_times(curves: np.ndarray, grid: np.ndarray, targets: np.ndarray) -
         below = np.where(under, probe, below)
         step >>= 1
     cross = np.where(below == 0, grid[0], np.inf)
+    cross[:, np.isnan(targets)] = np.nan
     c, t = np.nonzero((below > 0) & (below < g))
     i = below[c, t]
     c0, c1 = curves[c, i - 1], curves[c, i]
@@ -407,16 +410,17 @@ def timeline_for_events(
     Each curve is inverted by linear interpolation on the grid; percentile
     summaries run over the per-replicate (or per-draw) crossing times. The
     point or a bound is NaN when the point curve or that percentile of
-    curves never reaches the target within the horizon. Targets at or below
-    the observed count return the analysis time, where every curve starts;
-    a target below it warns.
+    curves never reaches the target within the horizon, and all three are
+    NaN for a NaN target. Targets at or below the observed count return the
+    analysis time, where every curve starts; a target below it warns.
     """
     curves = _interval_curves(ens, level, kind)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     for target in targets[targets < ens.base_events]:
         _warnings.warn(f"target {target:g} is below the {ens.base_events} events already "
                        "observed; returning the analysis time", stacklevel=2)
-    return _summary_rows(targets, _crossing_times(curves, ens.grid, targets), level)
+    point = _crossing_times(ens.point[None, :], ens.grid, targets)[0]
+    return _summary_rows(targets, point, _crossing_times(curves, ens.grid, targets), level)
 
 
 def write_interval_csv(rows: np.ndarray, path, timeline: bool = False):

@@ -8,9 +8,9 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import NoFeasibleModelError
-from .estimation import FitConfig, FitResult, _fit_batch, fit, loglik
+from .estimation import FitConfig, FitResult, _check_sample, _fit_batch, fit, loglik
 from .rng import derive_rng, derive_seed
-from .survdata import SurvSample, _Sorted, write_table
+from .survdata import SurvSample, write_table
 
 __all__ = ["BootFit", "CvResult", "boot_fit", "cv_loglik"]
 
@@ -247,14 +247,13 @@ def cv_loglik(
         # the OLS search needs 2 * (nbreak + 1) positive-survival KM steps, a
         # training split has at most one per distinct event time, and fit()
         # may clean away fixed change-points, so only searched ones count
-        n_times = len(_Sorted(data).event_times)
+        n_times = len(data._sorted.event_times)
         if n_times < 2 * (free + 1):
             raise NoFeasibleModelError(
                 f"optimizer {config.optimizer!r} needs at least {2 * (free + 1)} distinct "
                 f"event times for {free} searched change-points, got {n_times}"
             )
-    if not np.isfinite(data.time).all():
-        raise ValueError("estimation requires finite follow-up times (cut the data first)")
+    _check_sample(data)
     chunks = _chunks(data, nsim, threads, config, seed, test_fraction)
     out = [r for chunk in parallel_map(_cv_chunk, chunks, threads) for r in chunk]
     values = np.array([val for ok, val in out if ok], dtype=float)

@@ -373,7 +373,8 @@ def sim_followup(
     """Simulate ``rep`` trials and summarize them at each milestone.
 
     A milestone is a calendar time, a cumulative event count, or an
-    enrollment count depending on ``type``; each replicate resolves it to a
+    enrollment count depending on ``type``, and must be positive and finite
+    (checked before any replicate runs); each replicate resolves it to a
     cut time, truncates there, and reports the event count, subject count,
     and the requested statistics of the follow-up time (the time from
     randomization to the earliest endpoint in ``follow_up_endpoint``).
@@ -386,8 +387,8 @@ def sim_followup(
     if rep < 1:
         raise ValueError("rep must be >= 1")
     at = [float(a) for a in at]
-    if not at or any(a <= 0 for a in at):
-        raise ValueError("milestones must be nonempty and positive")
+    if not at or not all(0 < a < np.inf for a in at):
+        raise ValueError("milestones must be nonempty, positive and finite")
     bad = set(follow_up_endpoint) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -24,6 +24,11 @@ class SurvSample:
     :func:`cut_data`. Times must be finite except for subjects that would
     never have an event (``censor_reason == "never_event"``), which may carry
     ``inf`` until a data cut re-censors them.
+
+    ``time`` and ``event`` are read-only views (writing through the sample
+    raises ``ValueError``; an array passed in stays writable), so the view
+    sorted by time that fits and :func:`km_fit` read is built once per
+    sample, on first use, and kept with it.
     """
 
     time: np.ndarray
@@ -51,8 +56,10 @@ class SurvSample:
         if inf_mask.any():
             if reasons is None or not all(reasons[inf_mask] == NEVER_EVENT):
                 raise ValueError("infinite time allowed only with censor_reason == 'never_event'")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "event", event)
+        for name, column in (("time", time), ("event", event)):
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "censor_reason", reasons)
         for name in ("rand_time", "follow_abs_time"):
             val = getattr(self, name)
@@ -64,12 +71,20 @@ class SurvSample:
         if self.ids is not None:
             object.__setattr__(self, "ids", np.asarray(self.ids))
 
+    def __reduce__(self):
+        # pickled and copied through __init__: read-only columns, no cached view
+        return SurvSample, tuple(getattr(self, f.name) for f in fields(self))
+
     def __len__(self) -> int:
         return len(self.time)
 
     @property
     def n_events(self) -> int:
         return int(self.event.sum())
+
+    @cached_property
+    def _sorted(self) -> "_Sorted":
+        return _Sorted(self)
 
     def subset(self, idx) -> "SurvSample":
         """New sample containing the rows selected by ``idx`` (any numpy index)."""
@@ -107,7 +122,7 @@ class _Sorted:
     """A sample sorted by follow-up time: the sorted times with their prefix
     sums, and the distinct event times with their event counts and the
     number of events before each (``cum_events``, one entry longer). Built
-    per call and never kept on the sample, which travels to pool workers."""
+    once per sample, as its ``_sorted``; read it, never write it."""
 
     def __init__(self, data: SurvSample):
         self.time = np.sort(data.time)
@@ -150,7 +165,9 @@ class _Sorted:
         """Product-limit estimate; see :func:`km_fit`."""
         at_risk = self.at_risk(self.event_times)
         surv = np.cumprod(1.0 - self.event_counts / at_risk)
-        return KmCurve(time=self.event_times, survival=surv, at_risk=at_risk, n_event=self.event_counts)
+        # copies: a caller may write to the curve, never to the sample's view
+        return KmCurve(time=self.event_times.copy(), survival=surv, at_risk=at_risk,
+                       n_event=self.event_counts.copy())
 
 
 def km_fit(data: SurvSample) -> KmCurve:
@@ -162,7 +179,7 @@ def km_fit(data: SurvSample) -> KmCurve:
     """
     if len(data) == 0:
         raise ValueError("cannot fit a KM curve to an empty sample")
-    return _Sorted(data).km()
+    return data._sorted.km()
 
 
 def cut_data(data: SurvSample, cut: float) -> SurvSample:

@@ -329,6 +329,37 @@ def test_followup_rejects_no_milestones(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("at, kind", [("nan", "calendar"), ("inf", "event"), ("10,nan", "sample")])
+def test_followup_rejects_non_finite_milestones(tmp_path, capsys, at, kind):
+    out = tmp_path / "followup.csv"
+    assert main(["followup", *DESIGN_ARGS, "--at", at, "--type", kind, "--rep", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("pwexp followup: error: ")
+    assert not out.exists()
+
+
+def test_predict_timeline_of_a_nan_target_is_na(workdir, cut_sample, tmp_path):
+    model = tmp_path / "fit_exp.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(model)
+    out = tmp_path / "timeline.csv"
+    assert main(["predict", "--in", str(workdir / "cut.csv"), "--model", str(model),
+                 "--analysis_time", str(CUT), "--n_each", "10", "--kind", "predictive",
+                 "--seed", str(SEED), "--xyswitch", "--eval_at", f"nan,{cut_sample.n_events + 5}",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[1] == "NA,NA,NA,NA"
+    assert "NA" not in rows[2]
+
+
+def test_dist_prints_the_cells_it_writes(tmp_path, capsys):
+    argv = ["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "0,inf,nan", "--survival"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["at,value", "0.0,1.0", "Inf,0.0", "NA,NA"]
+    assert main([*argv, "--out", str(tmp_path / "dist.csv")]) == 0
+    assert (tmp_path / "dist.csv").read_text().splitlines() == printed
+
+
 def test_dist_matches_survival(workdir):
     out = workdir / "dist.csv"
     assert main(["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "1,7", "--out", str(out)]) == 0

@@ -556,7 +556,7 @@ class TestFitHybrid:
         product = int(np.prod(res.diagnostics["candidate_set_sizes"]))
         assert product > max_set and (product > 4 * max_set) == (max_set == 2)
         assert res.diagnostics["n_rows"] <= max_set + 1
-        view = _Sorted(d)
+        view = d._sorted
         ll, feasible = _profile(view, np.array([res.model.breakpoints]), cfg.min_pt_tail)
         assert feasible[0] and ll[0] == pytest.approx(res.loglik, rel=1e-12)
         snapped = _snap_row(_candidate_values(view, cfg), res.diagnostics["ols_breakpoints"])
@@ -705,7 +705,7 @@ def samples_and_rows(draw):
 @given(samples_and_rows())
 def test_profile_feasible_exactly_when_mle_succeeds(case):
     data, B, min_pt_tail = case
-    ll, feasible = _profile(_Sorted(data), B, min_pt_tail)
+    ll, feasible = _profile(data._sorted, B, min_pt_tail)
     ev = data.time[data.event == 1]
     for row, row_ll, ok in zip(B, ll, feasible):
         try:
@@ -765,3 +765,61 @@ class TestRunRecordKeys:
     def test_fallback_warning_text(self, scenario_train, optimizer):
         res = fit(scenario_train, FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=150, seed=1))
         assert any("grid fallback" in w for w in res.warnings)
+
+
+class TestOneSortedViewPerSample:
+    """Searches, MLEs, tallies and the Kaplan-Meier curve all read the one
+    sorted view that a sample builds on first use."""
+
+    CONFIGS = {
+        "bfs": FitConfig(nbreak=2, optimizer="bfs", seed=0),
+        "ols": FitConfig(nbreak=2, optimizer="ols", seed=0),
+        "hybrid": FitConfig(nbreak=2, optimizer="hybrid", seed=0),
+        "ols-fallback": FitConfig(nbreak=2, optimizer="ols", min_pt_tail=150, seed=1),
+        "fixed-and-searched": FitConfig(nbreak=2, fixed_breakpoints=(14.0,), optimizer="hybrid", seed=0),
+        "all-fixed": FitConfig(nbreak=2, fixed_breakpoints=(5.0, 14.0)),
+        "exponential": FitConfig(nbreak=0),
+    }
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """The samples whose view is built, one entry per build (kept, so
+        no two of them share an id)."""
+        built = []
+        init = _Sorted.__init__
+
+        def counting(view, data):
+            built.append(data)
+            init(view, data)
+
+        monkeypatch.setattr(_Sorted, "__init__", counting)
+        return built
+
+    @staticmethod
+    def fresh(data: SurvSample) -> SurvSample:
+        return SurvSample(data.time.copy(), data.event.copy())
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_a_fit_builds_one_view(self, monkeypatch, scenario_train, name):
+        data = self.fresh(scenario_train)
+        built = self.count_builds(monkeypatch)
+        fit(data, self.CONFIGS[name])
+        km_fit(data)
+        assert len(built) == 1 and built[0] is data
+
+    @pytest.mark.parametrize("optimizer", ["bfs", "hybrid"])
+    def test_boot_fit_builds_one_view_per_replicate(self, monkeypatch, scenario_train, optimizer):
+        nsim = 4
+        data = self.fresh(scenario_train)
+        built = self.count_builds(monkeypatch)
+        boot = pw.boot_fit(data, FitConfig(nbreak=2, optimizer=optimizer, seed=0), nsim=nsim, seed=3)
+        assert len(boot.replicates) == nsim
+        assert len(built) == 1 + nsim and built[0] is data
+        assert len({id(d) for d in built}) == 1 + nsim
+
+    def test_repeated_fits_of_one_sample_equal_fits_of_fresh_copies(self, scenario_train):
+        data = self.fresh(scenario_train)
+        for config in [*self.CONFIGS.values()] * 2:
+            got, want = fit(data, config), fit(self.fresh(data), config)
+            assert got.to_dict() == want.to_dict()
+            assert got.diagnostics == want.diagnostics

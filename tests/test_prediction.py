@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -311,6 +312,9 @@ def reference_timeline_for_events(ens, targets, level=0.05, kind="confidence"):
     lo_q, hi_q = level / 2.0, 1.0 - level / 2.0
     rows = np.empty((len(targets), 4))
     for i, target in enumerate(targets):
+        if np.isnan(target):  # no curve reaches a NaN target
+            rows[i] = (target, np.nan, np.nan, np.nan)
+            continue
         if target < ens.base_events:
             warnings.warn(
                 f"target {target:g} is below the {ens.base_events} events already "
@@ -420,6 +424,35 @@ def test_below_base_targets_warn_once_each_from_the_caller():
     ]
     assert {w.filename for w in caught} == {__file__}
     np.testing.assert_array_equal(rows[[0, 1, 2], 1:], T0)
+
+
+@pytest.mark.parametrize("kind", ["confidence", "predictive"])
+def test_nan_target_gives_nan_cells(snapshot, kind):
+    """No curve reaches a NaN target, as no curve has a value at a NaN time."""
+    ens = _predict(snapshot)
+    rows = pw.timeline_for_events(ens, [np.nan, ens.base_events + 5.0], kind=kind)
+    assert np.isnan(rows[0]).all()
+    assert np.isfinite(rows[1]).all()
+
+
+def test_summaries_make_no_copy_of_the_ensemble():
+    """Peak traced memory stays well under the ensemble's size: the point
+    curve and the ensemble are evaluated apart, never stacked."""
+    rng = np.random.default_rng(0)
+    grid = np.linspace(T0, 90.0, 201)
+    curves = 40.0 + np.cumsum(rng.random((20_000, len(grid))), axis=1)
+    ens = pr.PredictionEnsemble(grid=grid, point=curves.mean(axis=0), expected=curves[:5],
+                                predictive=curves, n_each=1, analysis_time=T0, base_events=40,
+                                total_subjects=10**6)
+    for summary, at, bound in ((pw.event_interval, np.linspace(T0, 95.0, 20), 0.5),
+                               (pw.timeline_for_events, np.linspace(41.0, 200.0, 20), 1.5)):
+        tracemalloc.start()
+        try:
+            summary(ens, at, kind="predictive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * curves.nbytes, summary.__name__
 
 
 class TestNonFiniteInputs:

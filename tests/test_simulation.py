@@ -69,6 +69,15 @@ def test_sim_followup_needs_a_milestone(monkeypatch):
         sim_followup(design, at=[], rep=2, seed=0)
 
 
+@pytest.mark.parametrize("milestone", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["calendar", "event", "sample"])
+def test_sim_followup_rejects_non_finite_milestones(monkeypatch, kind, milestone):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sim_followup(design, at=[5.0, milestone], type=kind, rep=2, seed=0)
+
+
 @pytest.mark.parametrize("kind, column", [("event", "event"), ("sample", "subjects")])
 def test_count_milestone_is_reached_exactly(kind, column):
     # the cut is the k-th event (or randomization) time, so every replicate

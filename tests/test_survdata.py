@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -50,6 +52,35 @@ class TestSurvSample:
         sub = s.subset(np.array([0, 2]))
         assert list(sub.ids) == [10, 30]
         assert np.allclose(sub.rand_time, [0.1, 0.3])
+
+    def test_columns_are_read_only(self):
+        time, event = np.array([3.0, 1.0, 2.0]), np.array([1, 0, 1], dtype=np.int8)
+        s = SurvSample(time, event)
+        for column in (s.time, s.event, s.subset(slice(1, None)).time):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert time.flags.writeable and event.flags.writeable  # the arrays passed in
+
+    def test_copies_are_read_only_and_sort_anew(self):
+        s = SurvSample([3.0, 1.0, 2.0], [1, 0, 1], censor_reason=np.array([None, "cut", None]))
+        s._sorted
+        for c in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert not c.time.flags.writeable and not c.event.flags.writeable
+            assert "_sorted" not in vars(c)
+            assert c.time.tolist() == [3.0, 1.0, 2.0] and list(c.censor_reason) == [None, "cut", None]
+
+    def test_sorted_view_is_built_once(self):
+        s = SurvSample([3.0, 1.0, 2.0], [1, 0, 1])
+        assert s._sorted is s._sorted
+        assert s.subset(slice(None))._sorted is not s._sorted
+
+    def test_km_curve_is_not_the_samples_view(self):
+        s = SurvSample([1.0, 2.0, 2.0, 3.0], [1, 1, 0, 1])
+        km = km_fit(s)
+        km.time[:] = 0.0
+        km.n_event[:] = 0
+        again = km_fit(s)
+        assert again.time.tolist() == [1.0, 2.0, 3.0] and again.n_event.tolist() == [1, 1, 1]
 
 
 class TestKaplanMeier:
