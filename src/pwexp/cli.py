@@ -26,7 +26,7 @@ from .prediction import (
     write_interval_csv,
 )
 from .resampling import BootFit, boot_fit, cv_loglik
-from .simulation import ArmModel, TrialDesign, prop_above, sim_followup, simulate_trial
+from .simulation import FOLLOWUP_TYPES, ArmModel, TrialDesign, prop_above, sim_followup, simulate_trial
 from .survdata import _format_column, cut_data, km_fit, read_survival_csv, write_table
 
 
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("followup", help="design-stage follow-up simulation")
     _add_design_flags(p)
     p.add_argument("--at", required=True)
-    p.add_argument("--type", choices=("calendar", "event", "sample"), default="calendar")
+    p.add_argument("--type", choices=FOLLOWUP_TYPES, default="calendar")
     p.add_argument("--stat", default="mean,median",
                    help="comma list of mean, median, sum, prop_<t>")
     p.add_argument("--by_group", action="store_true")

@@ -282,13 +282,29 @@ def _sub_sample(cands: np.ndarray, free: int, max_set: int, rng: np.random.Gener
     return np.sort(rng.choice(cands, size=nr, replace=False))
 
 
+def _combinations(m: int, r: int) -> np.ndarray:
+    """The r-combinations of range(m) as rows of a (comb(m, r), r) array, in
+    the lexicographic order of ``itertools.combinations``. Built a column at
+    a time: each row of the first k columns is repeated once per value its
+    column k can take (past its last value, leaving room for the r - k - 1
+    columns after it)."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for k in range(r):
+        first = rows[:, -1] + 1 if k else np.zeros(1, dtype=np.intp)
+        reps = np.maximum(m - r + k + 1 - first, 0)
+        start = np.cumsum(reps) - reps  # row of each prefix's first extension
+        col = np.arange(reps.sum()) + np.repeat(first - start, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), col])
+    return rows
+
+
 def _candidate_combos(
     cands: np.ndarray, free: int, max_set: int, rng: np.random.Generator
 ) -> np.ndarray:
     """All ``free``-combinations of candidate values, capped at ``max_set``
     randomly chosen ones (enumeration order kept for tie-break stability)."""
     cands = _sub_sample(cands, free, max_set, rng)
-    combos = np.array(list(itertools.combinations(cands, free)), dtype=float)
+    combos = cands[_combinations(len(cands), free)]
     if len(combos) > max_set:
         keep = np.sort(rng.choice(len(combos), size=max_set, replace=False))
         combos = combos[keep]
@@ -753,15 +769,16 @@ class _OlsSearch:
     around the segmented regression so that a batch of samples can run
     theirs in one lockstep (:func:`_fit_batch`).
 
-    Construction reads the sample's log KM points (sorted by time). The
-    regression (:meth:`segmented`, or :meth:`problem` for a batch) draws
-    its starts from ``rng``, which a grid fallback then continues.
-    :meth:`ols_result` and :meth:`hybrid_result` finish the fit from the
-    regression's result.
+    Construction reads the sample's log KM points (sorted by time) and
+    keeps them, not the sample. The regression (:meth:`segmented`, or
+    :meth:`problem` for a batch) draws its starts from ``rng``, which a grid
+    fallback then continues. :meth:`ols_result` and :meth:`hybrid_result`
+    finish the fit from the regression's result and the sample, passed
+    again (the same object, or one built anew with the same rows).
     """
 
     def __init__(self, data: SurvSample, config: FitConfig):
-        self.data, self.config = data, config
+        self.config = config
         self.x, self.y = data._sorted.km().log_points()
         if len(self.x) < 2 * (config.nbreak + 1):
             raise NoFeasibleModelError(
@@ -777,14 +794,14 @@ class _OlsSearch:
         """The regression as one problem of :func:`_segmented_fits`."""
         return self.x, self.y, self.config.fixed_breakpoints, _segmented_starts(self.x, self.free, self.rng)
 
-    def breakpoints(self, seg: SegmentedFit):
+    def breakpoints(self, seg: SegmentedFit, data: SurvSample):
         """The segmented solution stands when the search's feasibility rule
         and ``exclude_int`` accept it; otherwise the shared search picks,
         among event-time candidates, the feasible row with the smallest sum
         of squares. Returns (all change-points, the free ones, their
         standard errors or None after the fallback, warnings)."""
         config, fixed, free = self.config, self.config.fixed_breakpoints, self.free
-        view = self.data._sorted
+        view = data._sorted
         if free == 0:
             return np.asarray(fixed), [], [], []
         if seg.converged:
@@ -803,19 +820,19 @@ class _OlsSearch:
         B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
         return B[i], [float(p) for p in rows[i]], None, [f"{reason}; grid fallback used"]
 
-    def ols_result(self, seg: SegmentedFit) -> FitResult:
-        bps, psi, se, warnings = self.breakpoints(seg)
-        res = mle_given_breakpoints(bps, self.data)
+    def ols_result(self, seg: SegmentedFit, data: SurvSample) -> FitResult:
+        bps, psi, se, warnings = self.breakpoints(seg, data)
+        res = mle_given_breakpoints(bps, data)
         res.optimizer = "ols"
         res.warnings = warnings
         res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
                            "segmented_converged": seg.converged, **_segmented_record(seg)}
         return res
 
-    def hybrid_result(self, seg: SegmentedFit) -> FitResult:
+    def hybrid_result(self, seg: SegmentedFit, data: SurvSample) -> FitResult:
         """See :func:`fit_hybrid`."""
-        config, view = self.config, self.data._sorted
-        _, psi, se, warnings = self.breakpoints(seg)
+        config, view = self.config, data._sorted
+        _, psi, se, warnings = self.breakpoints(seg, data)
         cands = _candidate_values(view, config)
         if len(cands) < self.free:
             raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
@@ -848,7 +865,7 @@ class _OlsSearch:
             raise NoFeasibleModelError("hybrid candidate set is empty")
 
         B, i, _ = _search(view, rows, config, "hybrid candidate row")
-        res = mle_given_breakpoints(B[i], self.data)
+        res = mle_given_breakpoints(B[i], data)
         res.optimizer = "hybrid"
         res.warnings = warnings
         res.diagnostics = {
@@ -880,7 +897,7 @@ def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:
     """
     _check_sample(data)
     search = _OlsSearch(data, config)
-    return search.ols_result(search.segmented())
+    return search.ols_result(search.segmented(), data)
 
 
 def _segmented_record(seg: SegmentedFit) -> dict:
@@ -927,7 +944,7 @@ def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:
     if config.nbreak - len(config.fixed_breakpoints) < 1:
         raise ValueError("fit_hybrid requires at least one unknown change-point")
     search = _OlsSearch(data, config)
-    return search.hybrid_result(search.segmented())
+    return search.hybrid_result(search.segmented(), data)
 
 
 # ---------------------------------------------------------------------------
@@ -973,38 +990,54 @@ def fit(data: SurvSample, config: FitConfig) -> FitResult:
     return res
 
 
+def _start_search(data: SurvSample, config: FitConfig) -> tuple[_OlsSearch, list[str]]:
+    """:func:`fit`'s checks and cleaning of fixed change-points, then the
+    OLS search of the cleaned config; returns it with the cleaning's
+    warnings."""
+    _check_sample(data)
+    cfg, warnings = _clean_fixed(data, config)
+    return _OlsSearch(data, cfg), warnings
+
+
 def _fit_batch(samples: Sequence[SurvSample], configs: Sequence[FitConfig]) -> list:
     """:func:`fit` of each sample under its config, with the segmented
     regressions of all ``ols`` and ``hybrid`` fits in one lockstep per
     number of free and fixed change-points (cleaning may drop fixed ones).
 
+    Each ``samples[i]`` is read twice, and no sample is kept between the
+    reads: once to check and clean it and take its log KM points and starts
+    (a ``bfs`` or fixed-only fit finishes there), once after the lockstep
+    to finish the fit. A sequence that builds sample i anew on each read
+    therefore holds at most one sample at a time: a fit waiting for the
+    lockstep holds only its regression inputs (the log KM points, the
+    starts and the cleaned config), and the lockstep their line sums.
+
     Returns per sample its :class:`FitResult`, or the
     :class:`EmptyPieceError` or :class:`NoFeasibleModelError` that its fit
-    raises; both are identical to :func:`fit`'s. Any other exception
-    propagates.
+    raises (without its traceback, whose frames would hold the sample);
+    both are identical to :func:`fit`'s. Any other exception propagates.
     """
-    out: list = [None] * len(samples)
+    out: list = [None] * len(configs)
     groups: dict[tuple[int, int], list] = {}
-    for i, (data, config) in enumerate(zip(samples, configs)):
+    for i, config in enumerate(configs):
         try:
             if config.optimizer == "bfs" or config.nbreak == len(config.fixed_breakpoints):
-                out[i] = fit(data, config)
+                out[i] = fit(samples[i], config)
                 continue
-            _check_sample(data)
-            cfg, warnings = _clean_fixed(data, config)
-            search = _OlsSearch(data, cfg)
+            search, warnings = _start_search(samples[i], config)
         except (EmptyPieceError, NoFeasibleModelError) as exc:
-            out[i] = exc
+            out[i] = exc.with_traceback(None)
             continue
-        groups.setdefault((search.free, len(cfg.fixed_breakpoints)), []).append((i, warnings, search))
+        key = (search.free, len(search.config.fixed_breakpoints))
+        groups.setdefault(key, []).append((i, warnings, search, search.problem()))
     for group in groups.values():
-        segs = _segmented_fits([search.problem() for _, _, search in group])
-        for (i, warnings, search), seg in zip(group, segs):
+        segs = _segmented_fits([problem for *_, problem in group])
+        for (i, warnings, search, _), seg in zip(group, segs):
             finish = search.ols_result if search.config.optimizer == "ols" else search.hybrid_result
             try:
-                out[i] = finish(seg)
+                out[i] = finish(seg, samples[i])
             except (EmptyPieceError, NoFeasibleModelError) as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
                 continue
             out[i].warnings = warnings + out[i].warnings
     return out

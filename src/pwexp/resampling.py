@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ class BootFit:
         return np.array([r.model.breakpoints for r in self.replicates], dtype=float)
 
     def rate_matrix(self) -> np.ndarray:
+        """(n_replicates, r + 1) array of fitted hazard rates."""
         return np.array([r.model.rates for r in self.replicates], dtype=float)
 
     def to_dict(self) -> dict:
@@ -87,11 +89,31 @@ def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-# Replicates fitted together. A block holds each replicate's sample, sorted
-# view and line sums at once (about 0.4 MB per replicate of 8,000 subjects),
-# so this bounds memory whatever ``nsim``; larger blocks share more of the
-# lockstep's per-iteration cost.
-_BLOCK = 3
+# Replicates fitted together, in one segmented lockstep for ``ols`` and
+# ``hybrid``. A replicate waiting for the lockstep holds only its regression
+# inputs, its log KM points and starts (about 0.04 MB at 8,000 subjects);
+# its sample and sorted view (about 0.27 MB) are dropped and drawn again to
+# finish the fit (see _fit_batch and _Rebuilt). The lockstep adds each
+# replicate's line sums (about 0.16 MB). So memory is bounded whatever
+# ``nsim``, and larger blocks share more of the lockstep's per-iteration
+# cost; at 8,000 subjects blocks of 16 and 32 were not measurably faster
+# than 10 and raised the traced peak 1.5x and 3x.
+_BLOCK = 10
+
+
+class _Rebuilt(Sequence):
+    """Item k is ``build(keys[k])``, built anew on each read, so that the
+    sequence holds none of its items: each replicate sample exists only
+    while :func:`_fit_batch` reads it."""
+
+    def __init__(self, build, keys):
+        self.build, self.keys = build, keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k):
+        return self.build(self.keys[k])
 
 
 def _chunks(data: SurvSample, nsim: int, threads: int, *args) -> list:
@@ -107,14 +129,15 @@ def _blocks(run: np.ndarray):
 
 def _boot_chunk(payload) -> list:
     time, event, config, seed, run = payload
+
+    def resample(b):
+        idx = _resample_indices(derive_rng(seed, 1, b), len(time))
+        return SurvSample(time[idx], event[idx])
+
     out = []
     for block in _blocks(run):
-        samples = []
-        for b in block:
-            idx = _resample_indices(derive_rng(seed, 1, b), len(time))
-            samples.append(SurvSample(time[idx], event[idx]))
         configs = [replace(config, seed=derive_seed(seed, 2, b)) for b in block]
-        for b, res in zip(block, _fit_batch(samples, configs)):
+        for b, res in zip(block, _fit_batch(_Rebuilt(resample, block), configs)):
             out.append((True, res) if isinstance(res, FitResult) else (False, f"replicate {b}: {res}"))
     return out
 
@@ -127,7 +150,10 @@ def boot_fit(
     Replicate b draws its resample and its search stream from child streams
     of (seed, b). Replicates are fitted in blocks, the segmented regressions
     of a block's ``ols`` or ``hybrid`` fits in one lockstep, and with
-    ``threads`` workers each takes a contiguous run of replicates; every
+    ``threads`` workers each takes a contiguous run of replicates. A
+    replicate waiting for the lockstep holds only its log KM points and
+    starts: its resample is drawn again from its stream to finish the fit,
+    so memory does not grow with its sample while it waits. Every
     replicate's fit is the one :func:`fit` gives on its resample, so the
     result is identical for any worker count. Replicates whose fit raises
     :class:`EmptyPieceError` or :class:`NoFeasibleModelError` are recorded
@@ -191,7 +217,7 @@ def _cv_chunk(payload) -> list:
             if not todo:
                 break
             masks = [_stratified_split(rngs[k], event, frac, config.nbreak + 1) for k in todo]
-            trains = [SurvSample(time[~m], event[~m]) for m in masks]
+            trains = _Rebuilt(lambda m: SurvSample(time[~m], event[~m]), masks)
             configs = [replace(config, seed=derive_seed(seed, 4, block[k], attempt)) for k in todo]
             retry = []
             for k, mask, res in zip(todo, masks, _fit_batch(trains, configs)):

@@ -28,6 +28,7 @@ __all__ = [
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
 
 FOLLOWUP_ENDPOINTS = ("cut", "drop_out", "death", "event")
+FOLLOWUP_TYPES = ("calendar", "event", "sample")
 
 
 @dataclass(frozen=True)
@@ -303,13 +304,11 @@ def _resolve_cut(frame: TrialFrame, milestone: float, kind: str) -> tuple[float,
         ev_abs = np.sort(frame.followT_abs[frame.event == 1])
         if k <= len(ev_abs):
             return float(ev_abs[k - 1]), True
-    elif kind == "sample":
+    else:  # "sample"
         k = max(int(round(milestone)), 1)
         rt = np.sort(frame.randT)
         if k <= len(rt):
             return float(rt[k - 1]), True
-    else:
-        raise ValueError("type must be 'calendar', 'event', or 'sample'")
     finite = frame.followT_abs[np.isfinite(frame.followT_abs)]
     horizon = float(finite.max()) if len(finite) else float(frame.randT.max())
     return horizon, False
@@ -374,10 +373,11 @@ def sim_followup(
 
     A milestone is a calendar time, a cumulative event count, or an
     enrollment count depending on ``type``, and must be positive and finite
-    (checked before any replicate runs); each replicate resolves it to a
-    cut time, truncates there, and reports the event count, subject count,
-    and the requested statistics of the follow-up time (the time from
-    randomization to the earliest endpoint in ``follow_up_endpoint``).
+    (checked, with ``type``, before any replicate runs); each replicate
+    resolves it to a cut time, truncates there, and reports the event
+    count, subject count, and the requested statistics of the follow-up
+    time (the time from randomization to the earliest endpoint in
+    ``follow_up_endpoint``).
     Values are means over replicates. A replicate that never reaches a
     milestone contributes its end-of-horizon state and triggers a warning.
     With ``threads > 1`` the design and ``stats`` are sent to worker
@@ -389,6 +389,8 @@ def sim_followup(
     at = [float(a) for a in at]
     if not at or not all(0 < a < np.inf for a in at):
         raise ValueError("milestones must be nonempty, positive and finite")
+    if type not in FOLLOWUP_TYPES:
+        raise ValueError(f"type must be one of {FOLLOWUP_TYPES}, got {type!r}")
     bad = set(follow_up_endpoint) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")

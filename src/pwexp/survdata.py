@@ -43,9 +43,9 @@ class SurvSample:
         event = np.asarray(self.event, dtype=np.int8)
         if time.ndim != 1 or event.shape != time.shape:
             raise ValueError("time and event must be 1-D arrays of equal length")
-        if np.any(time < 0.0) or np.any(np.isnan(time)):
+        if not (time >= 0.0).all():  # NaN fails too
             raise ValueError("times must be nonnegative")
-        if not np.isin(event, (0, 1)).all():
+        if not ((event == 0) | (event == 1)).all():
             raise ValueError("event indicator must be 0 or 1")
         reasons = self.censor_reason
         if reasons is not None:

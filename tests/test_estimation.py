@@ -11,11 +11,14 @@ from pwexp.errors import EmptyPieceError, NoFeasibleModelError
 from pwexp.estimation import (
     _LineSums,
     _TOL_FRAC,
+    _candidate_combos,
     _candidate_values,
+    _combinations,
     _profile,
     _run_segmented,
     _segmented_starts,
     _snap_row,
+    _sub_sample,
     FitConfig,
     FitResult,
     fit,
@@ -270,6 +273,30 @@ class TestFitBfs:
         cfg = FitConfig(nbreak=2, optimizer="bfs", max_set=500, min_pt_tail=2, seed=4)
         res = fit_bfs(d, cfg)
         assert res.diagnostics["n_combinations"] <= 500
+
+
+class TestCandidateCombos:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_rows_match_itertools(self, r):
+        # pools too small for one row give shape (0, r)
+        for m in sorted({0, r - 1, r, r + 1, r + 5, 12}):
+            got = _combinations(m, r)
+            want = np.array(list(itertools.combinations(range(m), r)), dtype=np.intp).reshape(-1, r)
+            assert got.shape == want.shape == (len(want), r)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("free,max_set", [(1, 10), (2, 10_000), (2, 50), (3, 40), (3, 1000)])
+    def test_same_rows_and_picks_as_itertools(self, free, max_set):
+        # the enumeration order decides which rows max_set's random picks keep
+        cands = np.sort(np.random.default_rng(free).exponential(8.0, size=40))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _candidate_combos(cands, free, max_set, rng)
+        pool = _sub_sample(cands, free, max_set, ref_rng)
+        want = np.array(list(itertools.combinations(pool, free)), dtype=float)
+        if len(want) > max_set:
+            want = want[np.sort(ref_rng.choice(len(want), size=max_set, replace=False))]
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSegmentedLine:
@@ -807,7 +834,7 @@ class TestOneSortedViewPerSample:
         km_fit(data)
         assert len(built) == 1 and built[0] is data
 
-    @pytest.mark.parametrize("optimizer", ["bfs", "hybrid"])
+    @pytest.mark.parametrize("optimizer", ["bfs"])
     def test_boot_fit_builds_one_view_per_replicate(self, monkeypatch, scenario_train, optimizer):
         nsim = 4
         data = self.fresh(scenario_train)
@@ -816,6 +843,21 @@ class TestOneSortedViewPerSample:
         assert len(boot.replicates) == nsim
         assert len(built) == 1 + nsim and built[0] is data
         assert len({id(d) for d in built}) == 1 + nsim
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_boot_redraws_ols_replicates(self, monkeypatch, scenario_train, optimizer):
+        # an ols or hybrid replicate's resample is drawn once before the
+        # segmented lockstep and once after it, each draw a new sample that
+        # builds one view; both draws hold the same rows
+        nsim = 4
+        data = self.fresh(scenario_train)
+        built = self.count_builds(monkeypatch)
+        boot = pw.boot_fit(data, FitConfig(nbreak=2, optimizer=optimizer, seed=0), nsim=nsim, seed=3)
+        assert len(boot.replicates) == nsim
+        assert len(built) == 1 + 2 * nsim and built[0] is data
+        assert len({id(d) for d in built}) == 1 + 2 * nsim
+        draws = [d.time.tobytes() + d.event.tobytes() for d in built[1:]]
+        assert all(draws.count(d) == 2 for d in draws)
 
     def test_repeated_fits_of_one_sample_equal_fits_of_fresh_copies(self, scenario_train):
         data = self.fresh(scenario_train)

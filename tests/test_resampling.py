@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,32 @@ import pytest
 import pwexp as pw
 from pwexp.errors import EmptyPieceError, NoFeasibleModelError, PwexpError
 from pwexp.estimation import FitConfig, _fit_batch, fit, loglik
+import pwexp.estimation as est
+import pwexp.resampling as rs
 from pwexp.resampling import BootFit, _resample_indices, _stratified_split, boot_fit, cv_loglik
 from pwexp.rng import derive_rng, derive_seed
 from pwexp.survdata import SurvSample
 
 from conftest import make_scenario
+
+
+def thin_sample(n_events, n_censored):
+    """Events at 1, 2, ..., ``n_events`` among censorings spread over 0.5-30:
+    some resamples hold too few distinct event times for the model."""
+    return SurvSample(
+        np.concatenate([np.arange(1.0, n_events + 1.0), np.linspace(0.5, 30.0, n_censored)]),
+        np.repeat([1, 0], [n_events, n_censored]),
+    )
+
+
+def tied_sample():
+    """8 events at 7 distinct times: holding out two singletons leaves 5
+    event times, too few KM steps for 2 change-points, so CV splits fail and
+    are redrawn."""
+    return SurvSample(
+        np.concatenate([np.arange(1.0, 8.0), [7.0], np.linspace(8.5, 30.0, 16)]),
+        np.concatenate([np.ones(8, dtype=int), np.zeros(16, dtype=int)]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +84,19 @@ class TestBootFit:
         assert [f.split(":")[0] for f in bf.failures] == [f"replicate {b}" for b in thin]
         assert all("observed event" in f or "distinct event times" in f for f in bf.failures)
         assert len(bf.replicates) + len(bf.failures) == nsim
+
+    def test_rate_and_breakpoint_matrices(self):
+        # 5 of 12 resamples are too thin for 2 change-points
+        bf = boot_fit(thin_sample(9, 16), FitConfig(nbreak=2, optimizer="hybrid", min_pt_tail=1, seed=0),
+                      nsim=12, seed=3)
+        n = len(bf.replicates)
+        assert bf.failures and n + len(bf.failures) == 12
+        rates, breaks = bf.rate_matrix(), bf.breakpoint_matrix()
+        assert rates.shape == (n, 3) and breaks.shape == (n, 2)
+        assert rates.dtype == breaks.dtype == np.float64
+        for rate_row, break_row, rep in zip(rates, breaks, bf.replicates):
+            assert tuple(rate_row) == rep.model.rates
+            assert tuple(break_row) == rep.model.breakpoints
 
     def test_value_error_propagates(self, monkeypatch, small_train):
         # a bug inside a replicate is not an infeasible resample
@@ -339,17 +374,25 @@ class TestBatchMatchesSingleFits:
 
     @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
     def test_independent_of_block_size_and_threads(self, monkeypatch, optimizer):
-        data, _, _ = make_scenario(seed=5, n=300)
+        # bootstraps with and without failing replicates, CV with and
+        # without redrawn splits
+        scenario, _, _ = make_scenario(seed=5, n=300)
         cfg = FitConfig(nbreak=2, optimizer=optimizer, seed=5)
-        boot = boot_fit(data, cfg, nsim=7, seed=3).to_dict()
-        cv = cv_loglik(data, cfg, nsim=5, seed=3).values
-        for threads in (2, 3):
-            assert boot_fit(data, cfg, nsim=7, seed=3, threads=threads).to_dict() == boot
-            assert cv_loglik(data, cfg, nsim=5, seed=3, threads=threads).values.tobytes() == cv.tobytes()
-        for block in (1, 3, 10):
+        boots = [(scenario, cfg, 7, 3),
+                 (thin_sample(9, 16), FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0), 12, 3)]
+        cvs = [(scenario, cfg, 5, 3),
+               (tied_sample(), FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0), 6, 2)]
+        want_boot = [boot_fit(d, c, nsim=n, seed=s).to_dict() for d, c, n, s in boots]
+        want_cv = [cv_loglik(d, c, nsim=n, seed=s).values.tobytes() for d, c, n, s in cvs]
+        assert want_boot[1]["failures"] and len(want_boot[1]["replicates"]) > 6
+        assert max(reference_cv(*cvs[1][:2], nsim=6, seed=2)[2]) > 1
+        for block in (1, 3, rs._BLOCK, 32):
             monkeypatch.setattr("pwexp.resampling._BLOCK", block)
-            assert boot_fit(data, cfg, nsim=7, seed=3).to_dict() == boot
-            assert cv_loglik(data, cfg, nsim=5, seed=3).values.tobytes() == cv.tobytes()
+            for threads in (1, 2, 3):
+                for (d, c, n, s), want in zip(boots, want_boot):
+                    assert boot_fit(d, c, nsim=n, seed=s, threads=threads).to_dict() == want
+                for (d, c, n, s), want in zip(cvs, want_cv):
+                    assert cv_loglik(d, c, nsim=n, seed=s, threads=threads).values.tobytes() == want
 
     def test_value_error_in_one_sample_propagates(self):
         # an infinite time is a bad argument, not an infeasible sample
@@ -358,3 +401,56 @@ class TestBatchMatchesSingleFits:
         cfg = FitConfig(nbreak=1, optimizer="hybrid", seed=0)
         with pytest.raises(ValueError, match="finite follow-up times"):
             _fit_batch([good, bad, good], [cfg] * 3)
+
+
+class TestWaitingReplicatesHoldNoSample:
+    """A replicate waiting for its block's segmented lockstep holds its
+    regression inputs, not its sample: the sample is drawn again to finish
+    the fit."""
+
+    @staticmethod
+    def track(monkeypatch):
+        """Weak references to every sample that resampling builds, and the
+        number of problems of each lockstep, which checks that none of those
+        samples is alive when it runs."""
+        samples, locksteps = [], []
+
+        def tracked(*args, **kwargs):
+            sample = SurvSample(*args, **kwargs)
+            samples.append(weakref.ref(sample))
+            return sample
+
+        lockstep = est._segmented_fits
+
+        def checked(problems):
+            alive = [i for i, ref in enumerate(samples) if ref() is not None]
+            assert not alive, f"samples {alive} alive in the lockstep"
+            locksteps.append(len(problems))
+            return lockstep(problems)
+
+        monkeypatch.setattr("pwexp.resampling.SurvSample", tracked)
+        monkeypatch.setattr("pwexp.estimation._segmented_fits", checked)
+        return samples, locksteps
+
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_no_replicate_sample_alive_in_the_lockstep(self, monkeypatch, optimizer):
+        samples, locksteps = self.track(monkeypatch)
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0)
+        scenario, _, _ = make_scenario(seed=5, n=300)
+        bf = boot_fit(thin_sample(9, 16), cfg, nsim=12, seed=3)  # failing replicates
+        # the base fit, then the replicates that reach a lockstep (the
+        # thinnest fail before it)
+        assert bf.failures and locksteps[0] == 1
+        assert len(bf.replicates) <= sum(locksteps[1:]) < 12
+        boot_fit(scenario, replace(cfg, min_pt_tail=5), nsim=12, seed=3)
+        cv_loglik(tied_sample(), cfg, nsim=6, seed=2)  # redrawn splits
+        cv_loglik(scenario, replace(cfg, min_pt_tail=5), nsim=6, seed=3)
+        assert max(locksteps) == min(12, rs._BLOCK) and len(samples) > 2 * 12
+
+    def test_a_list_of_samples_is_caught(self, monkeypatch):
+        # the check is not vacuous: samples passed as a list stay alive
+        samples, _ = self.track(monkeypatch)
+        scenario, _, _ = make_scenario(seed=5, n=300)
+        batch = [rs.SurvSample(scenario.time[::2], scenario.event[::2]) for _ in range(2)]
+        with pytest.raises(AssertionError, match="alive in the lockstep"):
+            _fit_batch(batch, [FitConfig(nbreak=2, optimizer="hybrid", seed=0)] * 2)

@@ -69,6 +69,19 @@ def test_sim_followup_needs_a_milestone(monkeypatch):
         sim_followup(design, at=[], rep=2, seed=0)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sim_followup_checks_type_before_any_trial(monkeypatch, threads):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    trials = []
+    simulate = pw.simulation.simulate_trial
+    monkeypatch.setattr("pwexp.simulation.simulate_trial", lambda *a, **k: trials.append(1) or simulate(*a, **k))
+    if threads > 1:  # trials in a worker would not be counted here
+        monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match="type must be"):
+        sim_followup(design, at=[5.0], type="bogus", rep=3, seed=0, threads=threads)
+    assert trials == []
+
+
 @pytest.mark.parametrize("milestone", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["calendar", "event", "sample"])
 def test_sim_followup_rejects_non_finite_milestones(monkeypatch, kind, milestone):

@@ -33,12 +33,14 @@ class TestSurvSample:
         assert len(s) == 2 and s.n_events == 1
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            SurvSample([-1.0], [1])
+        for bad in (-1.0, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                SurvSample([1.0, bad], [1, 0])
 
     def test_bad_event_flag_rejected(self):
-        with pytest.raises(ValueError):
-            SurvSample([1.0], [2])
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="0 or 1"):
+                SurvSample([1.0, 2.0], [1, bad])
 
     def test_infinite_time_needs_never_event(self):
         with pytest.raises(ValueError):
