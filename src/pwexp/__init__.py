@@ -38,6 +38,7 @@ from .prediction import (
     PredictionEnsemble,
     TrialSnapshot,
     event_interval,
+    expected_events,
     predict_events,
     timeline_for_events,
 )
@@ -64,7 +65,7 @@ __all__ = [
     "mle_given_breakpoints", "validate_breakpoints", "fit_bfs", "fit_ols",
     "fit_hybrid", "fit",
     "BootFit", "CvResult", "boot_fit", "cv_loglik",
-    "AccrualPlan", "TrialSnapshot", "PredictionEnsemble", "predict_events",
+    "AccrualPlan", "TrialSnapshot", "PredictionEnsemble", "predict_events", "expected_events",
     "event_interval", "timeline_for_events",
     "ArmModel", "TrialDesign", "TrialFrame", "simulate_trial",
     "sim_followup", "SimFollowup", "prop_above",

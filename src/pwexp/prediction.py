@@ -1,12 +1,16 @@
-"""Monte Carlo event-count and timeline prediction with bootstrap bands.
+"""Event-count and timeline prediction: an exact point curve, and Monte
+Carlo curves with bootstrap bands.
 
 Predicted cumulative events decompose as: events already observed, plus the
-expected events among subjects still at risk (simulated conditionally on
-their elapsed follow-up), plus expected events among subjects yet to enroll
-(simulated unconditionally under the accrual plan). Averaging the per-draw
-indicators gives the expected curve; keeping each single generation gives
-the predictive draws, whose spread adds event-level noise on top of the
-parameter uncertainty carried by bootstrap replicates.
+expected events among subjects still at risk (given their elapsed
+follow-up), plus expected events among subjects yet to enroll (under the
+accrual plan). For one model, :func:`expected_events` sums these in closed
+form; that is the point curve of a prediction. For the bands each parameter
+set is simulated: averaging its per-draw indicators gives its expected
+curve, and keeping each single generation gives the predictive draws, whose
+spread adds event-level noise on top of the parameter uncertainty carried
+by bootstrap replicates. Parameter set ``b`` (from 1) draws from stream
+``derive_rng(seed, 10, b)``; stream ``(seed, 10, 0)`` is not used.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ __all__ = [
     "TrialSnapshot",
     "PredictionEnsemble",
     "predict_events",
+    "expected_events",
     "event_interval",
     "timeline_for_events",
     "write_interval_csv",
@@ -136,10 +141,13 @@ class TrialSnapshot:
 class PredictionEnsemble:
     """Expected and predictive event-count curves on a calendar grid.
 
-    ``expected`` holds one expected curve per parameter set (one row for a
-    plain fit, one per replicate for a bootstrap fit); ``predictive`` holds
-    every single-generation draw. All curves start at the observed event
-    count at the analysis time and never decrease.
+    ``point`` is the exact expected curve of the point model (a plain model
+    or fit, or a bootstrap fit's base fit), from :func:`expected_events`;
+    for a bootstrap fit without a base fit it is the mean of ``expected``.
+    ``expected`` holds one simulated expected curve per parameter set (one
+    row for a plain fit, one per replicate for a bootstrap fit);
+    ``predictive`` holds every single-generation draw. All curves start at
+    the observed event count at the analysis time and never decrease.
     """
 
     grid: np.ndarray
@@ -254,6 +262,166 @@ def _predict_worker(payload):
     return _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng)
 
 
+# Widest spread of the exponents summed under one reference value: e**500
+# and e**-500 are far from overflow and underflow. See _at_risk_events.
+_EXP_SPREAD = 500.0
+
+
+def _merged_pieces(event_m: PweModel, censor_m: PweModel | None):
+    """The pieces on the union of both models' breakpoints: their lower
+    bounds a_k, the event share of the hazard lambda_k / h_k, the total
+    (event plus censoring) hazard h_k, and the total cumulative hazard at
+    each lower bound."""
+    breaks = event_m._breaks_arr
+    if censor_m is not None:
+        breaks = np.union1d(breaks, censor_m._breaks_arr)
+    lower = np.concatenate(([0.0], breaks))
+    lam = event_m._rates_arr[np.searchsorted(event_m._breaks_arr, lower, side="right")]
+    total = lam
+    if censor_m is not None:
+        total = lam + censor_m._rates_arr[np.searchsorted(censor_m._breaks_arr, lower, side="right")]
+    cum = np.concatenate(([0.0], np.cumsum(total[:-1] * (lower[1:] - lower[:-1]))))
+    return lower, lam / total, total, cum
+
+
+def _at_risk_events(pieces, elapsed: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Expected observed events, within follow-up ``d`` (>= 0) of the
+    analysis time, among subjects at risk after ``elapsed`` follow-up.
+
+    With H the total cumulative hazard, a subject at risk at r has an
+    observed event by r + d with probability, summed over the pieces k that
+    [r, r + d] meets, exp(H(r) - H(s_k)) (lambda_k / h_k)
+    (1 - exp(-h_k (e_k - s_k))), where [s_k, e_k] is the part of piece k
+    in [r, r + d]. Grouped by the piece k that r + d falls in, the subjects
+    sorted by r form one contiguous run per piece and time:
+    - those that start in piece k add a term of d alone, so only their
+      count is needed;
+    - those that start before it add P(r, a_k) + (lambda_k / h_k)
+      exp(H(r) - H(a_k)), one prefix sum over subjects per piece, less
+      (lambda_k / h_k) exp(alpha(r) - h_k d) with alpha(r) = H(r) - H(a_k)
+      + h_k (a_k - r), one suffix sum per piece.
+    That is O((subjects + times) x pieces), not subjects x times.
+
+    alpha - h_k d is at most 0 for every subject in the run, but alpha
+    alone reaches h_k d, past overflow on long follow-up. Its slope in r is
+    at most the largest total hazard in size, so the subjects are cut into
+    bands of r _EXP_SPREAD / that wide. Each band sums exp(alpha - its
+    largest alpha), and scales the sum by exp(that - h_k d); both exponents
+    stay within _EXP_SPREAD of 0 wherever the band meets the run. The sums
+    run from the band's top, away from the subjects whose r + d falls short
+    of piece k, whose terms would be the largest.
+    """
+    lower, share, h, cum = pieces
+    r = np.sort(elapsed)
+    n = len(r)
+    starts = np.searchsorted(r, lower)  # subjects before each piece
+    # subjects whose r + d falls before the end of each piece, pieces x times
+    ends = np.searchsorted(r, np.append(lower[1:], np.inf)[:, None] - d)
+    out = (np.maximum(ends - starts[:, None], 0) * (share[:, None] * -np.expm1(-h[:, None] * d))).sum(axis=0)
+    if not n:
+        return out
+    j = np.searchsorted(lower, r, side="right") - 1
+    cum_r = cum[j] + h[j] * (r - lower[j])
+    width = _EXP_SPREAD / h.max()
+    edges = np.searchsorted(r, r[0] + width * np.arange(1, int((r[-1] - r[0]) // width) + 1)).tolist()
+    bands = list(zip([0, *edges], [*edges, n]))
+    reach = np.zeros(n)  # P(r_i, a_k) for the subjects before piece k
+    surv = reach[:0]
+    for k in range(1, len(lower)):
+        prev, start = starts[k - 1], starts[k]
+        step = lower[k] - lower[k - 1]
+        reach[:prev] += surv * (share[k - 1] * -np.expm1(-h[k - 1] * step))
+        reach[prev:start] = share[k - 1] * -np.expm1(-h[k - 1] * (lower[k] - r[prev:start]))
+        if not start:
+            continue
+        log_s = cum_r[:start] - cum[k]
+        surv = np.exp(log_s)  # S(a_k) / S(r)
+        prefix = np.concatenate(([0.0], np.cumsum(reach[:start] + share[k] * surv)))
+        run = np.minimum(ends[k - 1:k + 1], start)
+        alpha = log_s + h[k] * (lower[k] - r[:start])
+        tail = 0.0
+        for lo, hi in bands:
+            if lo >= start:
+                break
+            hi = min(hi, start)
+            ref = alpha[lo:hi].max()
+            suffix = np.append(np.cumsum(np.exp(alpha[lo:hi] - ref)[::-1])[::-1], 0.0)
+            lo_run, hi_run = np.minimum(np.maximum(run, lo), hi) - lo
+            # a band that misses the run sums to exactly 0, whatever the scale
+            tail += np.exp(np.minimum(ref - h[k] * d, 1.2 * _EXP_SPREAD)) * (suffix[lo_run] - suffix[hi_run])
+        out += prefix[run[1]] - prefix[run[0]] - share[k] * tail
+    return out
+
+
+def _accrual_events(pieces, months: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Expected observed events, within follow-up ``d`` of the analysis
+    time, among future subjects enrolling uniformly within the month after
+    it given by each entry of ``months``.
+
+    A subject enrolled at u has an event by d with probability I(d - u),
+    I(x) the unconditional incidence of observed events (0 for x <= 0).
+    Over u uniform in [m, m + 1) that averages to J(d - m) - J(d - m - 1),
+    J(y) the integral of I from 0 to y, which is closed form on each piece.
+    Summed over subjects, J(d - q) has weight (enrollees in month q) -
+    (those in month q - 1): at a whole number a month, only the first
+    month and at most the last two carry any.
+    """
+    lower, share, h, cum = pieces
+    lengths = lower[1:] - lower[:-1]
+    scale = share * np.exp(-cum)  # lambda_k / h_k S(a_k)
+    # I and J at each piece's lower bound, and the slope of J past it
+    inc = np.concatenate(([0.0], np.cumsum(scale[:-1] * -np.expm1(-h[:-1] * lengths))))
+    slope = inc + scale
+    integral = np.concatenate(([0.0], np.cumsum(
+        slope[:-1] * lengths + scale[:-1] * np.expm1(-h[:-1] * lengths) / h[:-1])))
+    enrolled = np.bincount(months.astype(np.intp))
+    weight = np.append(enrolled, 0)
+    weight[1:] -= enrolled
+    q = np.flatnonzero(weight)
+    out = np.zeros(len(d))
+    step = max(1, _BLOCK // len(d))  # months per block of months x times
+    for lo in range(0, len(q), step):
+        y = np.maximum(d - q[lo:lo + step, None], 0.0)
+        k = np.searchsorted(lower, y, side="right") - 1
+        z = y - lower[k]
+        at_y = integral[k] + slope[k] * z + scale[k] * np.expm1(-h[k] * z) / h[k]
+        out += (weight[q[lo:lo + step], None] * at_y).sum(axis=0)
+    return out
+
+
+def expected_events(event_model, censor_model, snapshot: TrialSnapshot, times) -> np.ndarray:
+    """Exact expected cumulative event count at each calendar time.
+
+    ``event_model`` and optional ``censor_model`` are each a
+    :class:`PweModel` or :class:`FitResult`. The count is the events
+    observed at the analysis time, plus the expected observed events among
+    the at-risk subjects given their elapsed follow-up, plus those among the
+    future enrollees of the accrual plan, each uniform within its month;
+    every term is a finite sum over the pieces of the two hazards merged
+    (Bagiella & Heitjan 2001, *Stat Med*). Times at or before the analysis
+    time give the observed count. It costs O((subjects + times) x pieces)
+    plus at most O(accrual months x times), with no draws and no Monte
+    Carlo error. Like the exact curve, the result never decreases as time
+    grows and stays between the observed count and
+    ``snapshot.max_new_events``, rounding included.
+    """
+    event_m, censor_m = (m.model if isinstance(m, FitResult) else m for m in (event_model, censor_model))
+    if not (isinstance(event_m, PweModel) and (censor_m is None or isinstance(censor_m, PweModel))):
+        raise TypeError("expected_events takes a PweModel or FitResult (and None for no censoring)")
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    d = np.maximum(times.ravel() - snapshot.analysis_time, 0.0)
+    pieces = _merged_pieces(event_m, censor_m)
+    counts = snapshot.n_events + _at_risk_events(pieces, snapshot.elapsed, d)
+    plan = snapshot.accrual
+    if plan is not None and plan.n_remaining:
+        counts += _accrual_events(pieces, _enrol_months(plan.n_remaining, plan.rate, plan.monthly_counts), d)
+    order = np.argsort(d, kind="stable")
+    counts[order] = np.minimum(np.maximum.accumulate(counts[order]), snapshot.max_new_events)
+    return counts.reshape(times.shape)
+
+
 def predict_events(
     event_model,
     censor_model,
@@ -264,7 +432,7 @@ def predict_events(
     grid_points: int = 200,
     threads: int = 1,
 ) -> PredictionEnsemble:
-    """Simulate future event accrual under fitted (or known) models.
+    """Predict future event accrual under fitted (or known) models.
 
     ``event_model`` and optional ``censor_model`` may each be a
     :class:`PweModel`, :class:`FitResult`, or :class:`BootFit`; bootstrap
@@ -277,6 +445,13 @@ def predict_events(
     result depends on ``seed`` alone: not on the block size, nor on
     ``threads``. The default horizon is the end of accrual plus the longest
     elapsed follow-up.
+
+    The point curve is not simulated: it is the exact expected curve of
+    the point models (a :class:`PweModel` or :class:`FitResult` itself, a
+    :class:`BootFit`'s base fit) from :func:`expected_events`, and stream
+    ``(seed, 10, 0)`` is not drawn. Without a point model, as for a
+    :class:`BootFit` with no base fit (event or censoring), it is the mean
+    of the expected curves.
     """
     if n_each < 1:
         raise ValueError("n_each must be >= 1")
@@ -303,12 +478,10 @@ def predict_events(
     expected = np.vstack([ed for ed, _ in results])
     predictive = np.vstack([ped for _, ped in results])
 
-    if event_point is not None and len(event_sets) > 1:
-        point, _ = _simulate_curves(
-            event_point, censor_point, snapshot, n_each, grid, derive_rng(seed, 10, 0)
-        )
+    if event_point is not None and (censor_point is not None or not censor_sets):
+        point = expected_events(event_point, censor_point, snapshot, grid)
     else:
-        point = expected.mean(axis=0) if len(event_sets) > 1 else expected[0]
+        point = expected.mean(axis=0)
     return PredictionEnsemble(
         grid=grid,
         point=point,

@@ -40,13 +40,15 @@ class SurvSample:
 
     def __post_init__(self):
         time = np.asarray(self.time, dtype=float)
-        event = np.asarray(self.event, dtype=np.int8)
+        event = np.asarray(self.event)
         if time.ndim != 1 or event.shape != time.shape:
             raise ValueError("time and event must be 1-D arrays of equal length")
         if not (time >= 0.0).all():  # NaN fails too
             raise ValueError("times must be nonnegative")
+        # checked before the cast, which would wrap 257 to 1 and cut 0.5 to 0
         if not ((event == 0) | (event == 1)).all():
             raise ValueError("event indicator must be 0 or 1")
+        event = event.astype(np.int8, copy=False)
         reasons = self.censor_reason
         if reasons is not None:
             reasons = np.asarray(reasons, dtype=object)

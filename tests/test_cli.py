@@ -527,7 +527,7 @@ def test_public_names_and_flags_are_pinned():
         "mle_given_breakpoints", "validate_breakpoints", "fit_bfs", "fit_ols",
         "fit_hybrid", "fit", "BootFit", "CvResult", "boot_fit", "cv_loglik",
         "AccrualPlan", "TrialSnapshot", "PredictionEnsemble", "predict_events",
-        "event_interval", "timeline_for_events",
+        "expected_events", "event_interval", "timeline_for_events",
         "ArmModel", "TrialDesign", "TrialFrame", "simulate_trial",
         "sim_followup", "SimFollowup", "prop_above",
         "PwexpError", "EmptyPieceError", "NoFeasibleModelError", "__version__",

@@ -78,14 +78,37 @@ def test_snapshot_from_cut_sample(reasons):
     assert (snap.analysis_time, snap.n_events, snap.accrual) == (10.0, event.sum(), plan)
 
 
+def exponential_events(snap: pw.TrialSnapshot, times, lam: float, mu: float) -> np.ndarray:
+    """Expected event count under constant event hazard ``lam`` and
+    censoring hazard ``mu``. By memorylessness an at-risk subject has an
+    observed event within d of the analysis time with probability
+    I(d) = lam / h * (1 - exp(-h d)), h = lam + mu, whatever its elapsed
+    follow-up. A subject enrolling uniformly within month m after it has
+    J(d - m) - J(d - m - 1), J(y) = lam / h * (y - (1 - exp(-h y)) / h) the
+    integral of I over [0, y] (0 for y <= 0)."""
+    h = lam + mu
+    d = np.asarray(times, dtype=float) - snap.analysis_time
+    out = snap.n_events + len(snap.enroll_times) * lam / h * -np.expm1(-h * np.maximum(d, 0.0))
+    plan = snap.accrual
+    if plan is not None:
+        months = (np.floor(np.arange(plan.n_remaining) / plan.rate) if plan.rate is not None
+                  else np.repeat(np.arange(len(plan.monthly_counts)), plan.monthly_counts)[:plan.n_remaining])
+        y = np.maximum(d[:, None] - months, 0.0)
+        def integral(y):
+            return lam / h * (y + np.expm1(-h * y) / h)
+
+        out = out + (integral(y) - integral(np.maximum(y - 1.0, 0.0))).sum(axis=1)
+    return out
+
+
 class TestExponentialOracle:
     """Constant event hazard LAM and censoring hazard MU, at-risk subjects
-    only: by memorylessness subject i has an observed event by calendar time
-    t with probability LAM / (LAM + MU) * (1 - exp(-(LAM + MU) * (t - T0))),
-    whatever its elapsed follow-up."""
+    only (see ``exponential_events``)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_point_within_4_se(self, seed):
+        """The simulated expected curve lies within 4 SE of the closed form,
+        and the point curve is the closed form."""
         enroll = np.random.default_rng(seed).uniform(0.0, T0, 300)
         snap = pw.TrialSnapshot(analysis_time=T0, n_events=25, enroll_times=enroll)
         n_each = 200
@@ -94,10 +117,173 @@ class TestExponentialOracle:
         p = LAM / (LAM + MU) * -np.expm1(-(LAM + MU) * (ens.grid - T0))
         want = snap.n_events + len(enroll) * p
         se = np.sqrt(len(enroll) * p * (1.0 - p) / n_each)
-        assert ens.point[0] == snap.n_events
-        assert np.all(np.abs(ens.point - want) <= 4.0 * se)
+        assert ens.point[0] == ens.expected[0, 0] == snap.n_events
+        assert np.all(np.abs(ens.expected[0] - want) <= 4.0 * se)
         # the curve is far from flat: the check has power
         assert want[-1] - want[0] > 100 * se.max()
+        np.testing.assert_allclose(ens.point, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("plan", [pw.AccrualPlan(n_remaining=60, rate=15.0),
+                                      pw.AccrualPlan(n_remaining=70, rate=2.5),
+                                      pw.AccrualPlan(n_remaining=9, monthly_counts=(2, 0, 3, 0, 0, 6))],
+                             ids=["rate", "slow_rate", "monthly_counts"])
+    def test_expected_events_with_accrual(self, snapshot, plan):
+        snap = pw.TrialSnapshot(T0, snapshot.n_events, snapshot.enroll_times, plan)
+        times = np.concatenate([[T0 - 5.0], np.linspace(T0, T0 + 60.0, 121)])
+        got = pw.expected_events(pw.PweModel((LAM,)), pw.PweModel((MU,)), snap, times)
+        np.testing.assert_allclose(got, exponential_events(snap, times, LAM, MU), rtol=1e-12)
+        assert got[0] == got[1] == snap.n_events
+
+
+def _pieces(event_m, censor_m):
+    """Lower and upper bounds of the pieces on both models' breakpoints,
+    with the event and the total hazard on each."""
+    breaks = np.union1d(event_m.breakpoints, censor_m.breakpoints if censor_m else ())
+    lower = np.concatenate(([0.0], breaks))
+    lam = pw.hazard(event_m, lower)
+    total = lam + (pw.hazard(censor_m, lower) if censor_m else 0.0)
+    return lower, np.append(breaks, np.inf), lam, total
+
+
+def reference_event_prob(event_m, censor_m, r, x):
+    """P(observed event by follow-up x | at risk at r), r and x broadcast:
+    the sum over the pieces [lo, hi) of exp(-(H(s) - H(r))) lam / h
+    (1 - exp(-h (e - s))), [s, e] the part of the piece in [r, x] and H the
+    total cumulative hazard."""
+    def cumhaz(t):
+        return pw.cumulative_hazard(event_m, t) + (pw.cumulative_hazard(censor_m, t) if censor_m else 0.0)
+
+    r, x = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(x, dtype=float))
+    out = np.zeros(r.shape)
+    for lo, hi, lam, h in zip(*_pieces(event_m, censor_m)):
+        s, e = np.maximum(r, lo), np.minimum(x, hi)
+        meets = e > s
+        s, e = s[meets], e[meets]
+        out[meets] += (np.exp(-(cumhaz(s) - cumhaz(r[meets]))) * lam / h * -np.expm1(-h * (e - s)))
+    return out
+
+
+def reference_expected_events(event_m, censor_m, snap, times):
+    """``expected_events`` summed subject by subject: at-risk subjects by
+    ``reference_event_prob`` on blocks of subjects x times, future enrollees
+    by 30-point Gauss-Legendre quadrature of the unconditional probability
+    over their month, split where it has a kink."""
+    d = np.maximum(np.asarray(times, dtype=float) - snap.analysis_time, 0.0)
+    out = np.full(len(d), float(snap.n_events))
+    r = snap.elapsed
+    for lo in range(0, len(r), 64):
+        out += reference_event_prob(event_m, censor_m, r[lo:lo + 64, None], r[lo:lo + 64, None] + d).sum(axis=0)
+    plan = snap.accrual
+    if plan is None or not plan.n_remaining:
+        return out
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    months = (np.floor(np.arange(plan.n_remaining) / plan.rate) if plan.rate is not None
+              else np.repeat(np.arange(len(plan.monthly_counts)), plan.monthly_counts)[:plan.n_remaining])
+    lower = _pieces(event_m, censor_m)[0]
+    for m, count in zip(*np.unique(months, return_counts=True)):
+        for i, di in enumerate(d):
+            # follow-up at the analysis time plus di of a subject enrolled in month m
+            lo, hi = max(di - m - 1.0, 0.0), max(di - m, 0.0)
+            cuts = np.unique(np.clip(np.concatenate(([lo, hi], lower)), lo, hi))
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                y = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+                out[i] += count * 0.5 * (b - a) * weights @ reference_event_prob(event_m, censor_m, 0.0, y)
+    return out
+
+
+def _models(max_rate=1.0):
+    rates = st.lists(st.floats(0.002, max_rate), min_size=1, max_size=4)
+    return st.builds(lambda rs, bs: pw.PweModel(rs, np.sort(bs)[:len(rs) - 1]), rates,
+                     st.lists(st.floats(0.5, 60.0), min_size=3, max_size=3, unique=True))
+
+
+@st.composite
+def prediction_cases(draw):
+    """An event model, a censoring model or none, whose breaks do not line
+    up, at-risk subjects (none to many, elapsed up to 60) and an accrual
+    plan by rate, by monthly counts, or none, and calendar times."""
+    event_m = draw(_models())
+    censor_m = draw(st.none() | _models(0.2))
+    t0 = 60.0
+    elapsed = draw(st.lists(st.floats(0.0, t0), max_size=300))
+    plan = draw(st.none()
+                | st.builds(lambda n, rate: pw.AccrualPlan(n, rate=rate), st.integers(0, 200), st.floats(0.5, 80.0))
+                | st.lists(st.integers(0, 30), min_size=1, max_size=6).map(
+                    lambda c: pw.AccrualPlan(sum(c), monthly_counts=tuple(c))))
+    snap = pw.TrialSnapshot(t0, draw(st.integers(0, 50)), t0 - np.array(elapsed, dtype=float), plan)
+    times = np.linspace(t0, t0 + draw(st.floats(1.0, 150.0)), draw(st.integers(2, 40)))
+    return event_m, censor_m, snap, times
+
+
+def _assert_curve(curve, snap):
+    assert np.all(np.isfinite(curve))
+    assert curve[0] == snap.n_events
+    assert np.all(np.diff(curve) >= 0.0)
+    assert np.all(curve <= snap.max_new_events)
+
+
+# a hazard of 2.0 after t = 400, elapsed times up to 1,200: exponents of
+# several thousand
+STEEP_ENROLL = np.random.default_rng(3).uniform(0.0, 1200.0, 400)
+STEEP = (pw.PweModel((0.01, 2.0), (400.0,)), pw.PweModel((0.002, 0.02), (333.3,)),
+         pw.TrialSnapshot(1200.0, 7, STEEP_ENROLL, pw.AccrualPlan(30, rate=0.7)),
+         np.linspace(1200.0, 2600.0, 60))
+
+
+class TestExpectedEvents:
+    @settings(max_examples=60, deadline=None)
+    @given(prediction_cases())
+    @example(STEEP)
+    @example((STEEP[0], None, pw.TrialSnapshot(1200.0, 0, STEEP_ENROLL), np.linspace(1200.0, 1210.0, 11)))
+    def test_matches_per_subject_reference(self, case):
+        """Equal to the reference within rounding, finite, from the observed
+        count up to the most events possible, never decreasing, and with no
+        warning (warnings are errors here)."""
+        event_m, censor_m, snap, times = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pw.expected_events(event_m, censor_m, snap, times)
+        _assert_curve(got, snap)
+        want = reference_expected_events(event_m, censor_m, snap, times)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-9)
+
+    def test_steep_hazard_has_power(self):
+        """The steep case is not trivial: most at-risk subjects have their
+        event past t = 400 of follow-up, where the exponents reach
+        thousands."""
+        curve = pw.expected_events(*STEEP)
+        assert curve[-1] - curve[0] > 0.9 * len(STEEP_ENROLL)
+
+    def test_times_in_any_order(self, snapshot):
+        times = np.array([T0 + 30.0, T0 - 1.0, T0 + 2.5, T0, T0 + 2.5, T0 + 7.0])
+        got = pw.expected_events(ENSEMBLE.base, CENSOR, snapshot, times)
+        order = np.argsort(times)
+        np.testing.assert_array_equal(got[order],
+                                      pw.expected_events(ENSEMBLE.base, CENSOR, snapshot, times[order]))
+
+    @pytest.mark.parametrize("model", [ENSEMBLE, None, "0.1"])
+    def test_rejects_models_without_one_point(self, snapshot, model):
+        with pytest.raises(TypeError, match="PweModel or FitResult"):
+            pw.expected_events(model, None, snapshot, [T0])
+
+    def test_rejects_non_finite_times(self, snapshot):
+        with pytest.raises(ValueError, match="finite"):
+            pw.expected_events(ENSEMBLE.base, None, snapshot, [T0, np.nan])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simulated_at_risk_curve_within_4_se(self, snapshot, seed):
+        """The simulated expected curve of the at-risk subjects lies within 4
+        SE of the closed form. (Future enrollees of one parameter set share
+        one enrollment draw across all ``n_each`` columns, so their SE
+        would be understated; they are left out.)"""
+        event_m, censor_m = pw.PweModel((0.1, 0.03, 0.2), (4.0, 13.0)), pw.PweModel((0.02, 0.05), (8.5,))
+        snap = pw.TrialSnapshot(T0, snapshot.n_events, snapshot.enroll_times)
+        n_each = 4000
+        ens = pw.predict_events(event_m, censor_m, snap, n_each=n_each, seed=seed, grid_points=40)
+        p = reference_event_prob(event_m, censor_m, snap.elapsed[:, None], snap.elapsed[:, None] + ens.grid - T0)
+        se = np.sqrt((p * (1.0 - p)).sum(axis=0) / n_each)
+        assert np.all(np.abs(ens.expected[0] - ens.point) <= 4.0 * se)
+        assert ens.point[-1] - ens.point[0] > 100 * se.max()
 
 
 class TestCurves:
@@ -173,17 +359,38 @@ class TestCurves:
         _assert_same(_predict(snapshot), ref)
 
     def test_pinned_digest(self, snapshot):
-        """SHA-256 of the curves of a fixed scenario (3 bootstrap replicates
-        and a base fit, a two-piece censoring model, future accrual), taken
-        when the samplers searched pieces with ``np.searchsorted``: changes
-        to the samplers must keep every draw. The digest covers float bits,
-        so a numpy whose ``log1p`` rounds differently changes it too."""
+        """SHA-256 of the simulated curves of a fixed scenario (3 bootstrap
+        replicates and a base fit, a two-piece censoring model, future
+        accrual), taken before the point curve came from the closed form, on
+        the tree that still simulated it: changes to the samplers or to the
+        point curve must keep every draw. The digest covers float bits, so a
+        numpy whose ``log1p`` rounds differently changes it too."""
         ens = pw.predict_events(ENSEMBLE, pw.PweModel((0.02, 0.05), (8.0,)), snapshot,
                                 n_each=30, seed=11, grid_points=50)
         h = hashlib.sha256()
-        for name in ("expected", "predictive", "point"):
+        for name in ("expected", "predictive"):
             h.update(getattr(ens, name).tobytes())
-        assert h.hexdigest() == "b19c099a2bdf212e01b04e9a076ede9340bdabdef890e273a9d54060674b5593"
+        assert h.hexdigest() == "c7c564cc6ff83ff6032e6186434fa5a238c87da200428161e5e17485c9c4c21b"
+
+    @pytest.mark.parametrize("event, censor", [
+        (ENSEMBLE, pw.PweModel((0.02, 0.05), (8.0,))),
+        (ENSEMBLE.base.model, CENSOR),
+        (ENSEMBLE.base, _result(CENSOR)),
+        (ENSEMBLE, None),
+    ], ids=["pinned_scenario", "model", "fit", "boot_no_censoring"])
+    def test_point_is_expected_events(self, snapshot, event, censor):
+        """The point curve is the closed form of the point model (the base
+        fit of a bootstrap ensemble), bit for bit."""
+        ens = pw.predict_events(event, censor, snapshot, n_each=30, seed=11, grid_points=50)
+        np.testing.assert_array_equal(ens.point, pw.expected_events(ENSEMBLE.base, censor, snapshot, ens.grid))
+
+    @pytest.mark.parametrize("event, censor", [
+        (BootFit(ENSEMBLE.replicates, None, 3, 0), CENSOR),
+        (ENSEMBLE, BootFit([_result(CENSOR)] * 2, None, 2, 0)),
+    ], ids=["event_boot_without_base", "censor_boot_without_base"])
+    def test_point_without_a_point_model_is_the_mean(self, snapshot, event, censor):
+        ens = pw.predict_events(event, censor, snapshot, n_each=5, seed=2, grid_points=20)
+        np.testing.assert_array_equal(ens.point, ens.expected.mean(axis=0))
 
     def test_without_censoring_or_accrual(self, snapshot):
         snap = pw.TrialSnapshot(analysis_time=T0, n_events=snapshot.n_events,
@@ -244,7 +451,7 @@ class TestTracedBindings:
             monkeypatch.setattr(pr, name, counting(name, getattr(pr, name)))
         n_each = 30
         ens = _predict(snapshot, n_each=n_each)
-        sets = len(ens.expected) + 1  # the point curve is simulated from the base fit
+        sets = len(ens.expected)  # the point curve is not simulated
         at_risk = sets * len(snapshot.enroll_times) * n_each
         future = sets * snapshot.accrual.n_remaining * n_each
 

@@ -42,6 +42,23 @@ class TestSurvSample:
             with pytest.raises(ValueError, match="0 or 1"):
                 SurvSample([1.0, 2.0], [1, bad])
 
+    @pytest.mark.parametrize("bad", [np.array([0.5, 1.0]), np.array([256, 1]), np.array([257, 0]),
+                                     np.array([-1, 1]), np.array([np.nan, 1.0])],
+                             ids=["half", "256", "257", "minus_one", "nan"])
+    def test_event_values_checked_before_the_cast(self, bad):
+        """An int8 cast first would keep 0.5 as 0 and wrap 256 to 0 and 257
+        to 1."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            SurvSample([1.0, 2.0], bad)
+
+    @pytest.mark.parametrize("event", [np.array([True, False]), np.array([1, 0]),
+                                       np.array([1, 0], dtype=np.uint8), np.array([1.0, 0.0]),
+                                       np.array([1.0, 0.0], dtype=np.float32)],
+                             ids=["bool", "int", "uint8", "float", "float32"])
+    def test_zero_one_columns_load(self, event):
+        s = SurvSample([1.0, 2.0], event)
+        assert s.event.dtype == np.int8 and s.event.tolist() == [1, 0]
+
     def test_infinite_time_needs_never_event(self):
         with pytest.raises(ValueError):
             SurvSample([np.inf], [0])
