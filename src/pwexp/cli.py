@@ -338,7 +338,9 @@ def _cmd_followup(args, argv):
     res.save_csv(args.out)
     _write_manifest(args.out, "followup", argv)
     if args.by_group:
-        res.save_csv(args.group_out or f"{args.out}.by_group.csv", by_group=True)
+        group_out = args.group_out or f"{args.out}.by_group.csv"
+        res.save_csv(group_out, by_group=True)
+        _write_manifest(group_out, "followup", argv)
     return 0
 
 
@@ -413,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid_points", type=int, default=200)
     p.add_argument("--eval_at", required=True)
     p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--kind", choices=("confidence", "predictive"), default="confidence")
+    p.add_argument("--kind", choices=("confidence", "predictive"), default="confidence",
+                   help="confidence: percentiles of the bootstrap replicates' exact expected curves "
+                        "(needs a boot model); predictive: percentiles of the simulated draws")
     p.add_argument("--xyswitch", action="store_true",
                    help="invert: timeline for given event counts")
     p.add_argument("--timeline_at", default=None,

@@ -1,16 +1,16 @@
-"""Event-count and timeline prediction: an exact point curve, and Monte
-Carlo curves with bootstrap bands.
+"""Event-count and timeline prediction: exact expected curves, and Monte
+Carlo predictive draws.
 
 Predicted cumulative events decompose as: events already observed, plus the
 expected events among subjects still at risk (given their elapsed
 follow-up), plus expected events among subjects yet to enroll (under the
-accrual plan). For one model, :func:`expected_events` sums these in closed
-form; that is the point curve of a prediction. For the bands each parameter
-set is simulated: averaging its per-draw indicators gives its expected
-curve, and keeping each single generation gives the predictive draws, whose
-spread adds event-level noise on top of the parameter uncertainty carried
-by bootstrap replicates. Parameter set ``b`` (from 1) draws from stream
-``derive_rng(seed, 10, b)``; stream ``(seed, 10, 0)`` is not used.
+accrual plan). For one parameter set, :func:`expected_events` sums these in
+closed form: that is the set's expected curve, and the confidence band
+takes percentiles of these curves across bootstrap replicates (parameter
+uncertainty only). Only the predictive draws are simulated: each single
+generation of every parameter set, whose spread adds event-level noise on
+top of the parameter uncertainty. Parameter set ``b`` (from 1) draws from
+stream ``derive_rng(seed, 10, b)``; stream ``(seed, 10, 0)`` is not used.
 """
 from __future__ import annotations
 
@@ -76,13 +76,6 @@ class AccrualPlan:
             return 0.0
         return float(_enrol_months(self.n_remaining, self.rate, self.monthly_counts)[-1]) + 1.0
 
-    def draw_times(self, t0: float, rng: np.random.Generator) -> np.ndarray:
-        """Calendar enrollment times of the remaining subjects."""
-        n = self.n_remaining
-        if n == 0:
-            return np.empty(0)
-        return t0 + _enrol_months(n, self.rate, self.monthly_counts) + rng.random(n)
-
 
 @dataclass(frozen=True)
 class TrialSnapshot:
@@ -141,13 +134,14 @@ class TrialSnapshot:
 class PredictionEnsemble:
     """Expected and predictive event-count curves on a calendar grid.
 
-    ``point`` is the exact expected curve of the point model (a plain model
-    or fit, or a bootstrap fit's base fit), from :func:`expected_events`;
-    for a bootstrap fit without a base fit it is the mean of ``expected``.
-    ``expected`` holds one simulated expected curve per parameter set (one
-    row for a plain fit, one per replicate for a bootstrap fit);
-    ``predictive`` holds every single-generation draw. All curves start at
-    the observed event count at the analysis time and never decrease.
+    ``expected`` holds each parameter set's exact expected curve, from
+    :func:`expected_events` (one row for a plain fit, one per bootstrap
+    replicate). ``point`` is the point model's: ``expected[0]`` for a plain
+    model or fit, the base fit's for a bootstrap fit, or the mean of
+    ``expected`` without a base fit (event or censoring). ``predictive``
+    holds every simulated single-generation draw, ``n_each`` rows per set
+    in set order. All curves start at the observed event count at the
+    analysis time and never decrease.
     """
 
     grid: np.ndarray
@@ -210,22 +204,23 @@ def _uniform_bins(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
-    """(expected, predictive) curves for one parameter set.
+    """The ``n_each`` predictive curves of one parameter set, one per row.
 
     Subjects are drawn in blocks of about ``_BLOCK`` draws: one sampler
     call per block and model, conditional on elapsed follow-up for the
     at-risk subjects (one conditioning time per subject) and unconditional
     for future enrollees. Event times come from one child stream of ``rng``
-    and censoring times from another, each consumed subject by subject, so
-    the curves do not depend on the block size; ``rng`` itself draws the
-    enrollment times.
+    and censoring times from another, each consumed subject by subject, and
+    ``rng`` itself draws the future enrollees' entry times row by row, so
+    the curves do not depend on the block size.
 
     A block's draws form a (subjects x ``n_each``) array: row ``i`` holds
     subject ``i``'s draws and column ``j`` feeds predictive curve ``j``.
-    Enrollment times broadcast over the columns. A draw censored before its
-    event gets an infinite calendar time, so it lands with the draws past
-    the horizon in bin ``len(grid)``, one overflow bin per curve, which is
-    dropped before the counts are summed up.
+    At-risk enrollment times broadcast over the columns; a future enrollee
+    enters anew for each draw, uniform within its month. A draw censored
+    before its event gets an infinite calendar time, so it lands with the
+    draws past the horizon in bin ``len(grid)``, one overflow bin per
+    curve, which is dropped before the counts are summed up.
     """
     event_rng, censor_rng = rng.spawn(2)
     width = len(grid) + 1  # the grid's bins and the overflow bin
@@ -233,13 +228,16 @@ def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
     offsets = np.arange(n_each) * width
     per_block = max(1, _BLOCK // n_each)
     cohorts = [(snapshot.enroll_times, snapshot.elapsed)]
-    if snapshot.accrual is not None:
-        cohorts.append((snapshot.accrual.draw_times(snapshot.analysis_time, rng), None))
+    plan = snapshot.accrual
+    if plan is not None and plan.n_remaining:
+        months = _enrol_months(plan.n_remaining, plan.rate, plan.monthly_counts)
+        cohorts.append((snapshot.analysis_time + months, None))
     for enroll, elapsed in cohorts:
         for lo in range(0, len(enroll), per_block):
             u = enroll[lo:lo + per_block, None]
             n = u.size * n_each
             if elapsed is None:
+                u = u + rng.random((len(u), n_each))
                 t = sample(event_m, n, event_rng).reshape(-1, n_each)
                 c = sample(censor_m, n, censor_rng).reshape(-1, n_each) if censor_m is not None else None
             else:
@@ -252,8 +250,7 @@ def _simulate_curves(event_m, censor_m, snapshot, n_each, grid, rng):
             bins = _uniform_bins(grid, t)
             bins += offsets
             counts += np.bincount(bins.ravel(), minlength=len(counts))
-    ped = counts.reshape(n_each, width)[:, :-1].cumsum(axis=1) + snapshot.n_events
-    return ped.mean(axis=0), ped
+    return counts.reshape(n_each, width)[:, :-1].cumsum(axis=1) + snapshot.n_events
 
 
 def _predict_worker(payload):
@@ -436,22 +433,17 @@ def predict_events(
 
     ``event_model`` and optional ``censor_model`` may each be a
     :class:`PweModel`, :class:`FitResult`, or :class:`BootFit`; bootstrap
-    replicates produce one expected curve per parameter set, which is what
-    the percentile intervals consume. Each at-risk subject contributes
-    ``n_each`` conditional event/censor draws, each future subject an
-    enrollment draw plus ``n_each`` unconditional draws. The draws are made
-    for blocks of subjects at once, with event and censoring times taken
-    from separate child streams of each parameter set's stream, so the
-    result depends on ``seed`` alone: not on the block size, nor on
-    ``threads``. The default horizon is the end of accrual plus the longest
-    elapsed follow-up.
-
-    The point curve is not simulated: it is the exact expected curve of
-    the point models (a :class:`PweModel` or :class:`FitResult` itself, a
-    :class:`BootFit`'s base fit) from :func:`expected_events`, and stream
-    ``(seed, 10, 0)`` is not drawn. Without a point model, as for a
-    :class:`BootFit` with no base fit (event or censoring), it is the mean
-    of the expected curves.
+    event replicate ``b`` pairs with censoring replicate ``b % k`` of ``k``.
+    The expected curves of the parameter sets and of the point models are
+    exact, from :func:`expected_events` (see :class:`PredictionEnsemble`).
+    Only the predictive curves are simulated: each at-risk subject
+    contributes ``n_each`` conditional event/censor draws, each future
+    subject ``n_each`` entry times and unconditional draws. The draws are
+    made for blocks of subjects at once, with event and censoring times
+    taken from separate child streams of each parameter set's stream
+    (stream ``(seed, 10, 0)`` is not drawn), so the result depends on
+    ``seed`` alone: not on the block size, nor on ``threads``. The default
+    horizon is the end of accrual plus the longest elapsed follow-up.
     """
     if n_each < 1:
         raise ValueError("n_each must be >= 1")
@@ -470,18 +462,18 @@ def predict_events(
         raise ValueError("horizon must be finite and exceed the analysis time")
     grid = np.linspace(t0, float(horizon), grid_points + 1)
 
-    payloads = []
-    for b, m in enumerate(event_sets):
-        cm = censor_sets[b % len(censor_sets)] if censor_sets else None
-        payloads.append((m, cm, snapshot, n_each, seed, b + 1, grid))
-    results = parallel_map(_predict_worker, payloads, threads)
-    expected = np.vstack([ed for ed, _ in results])
-    predictive = np.vstack([ped for _, ped in results])
+    k = len(censor_sets)
+    pairs = [(m, censor_sets[b % k] if k else None) for b, m in enumerate(event_sets)]
+    payloads = [(m, cm, snapshot, n_each, seed, b + 1, grid) for b, (m, cm) in enumerate(pairs)]
+    predictive = np.vstack(parallel_map(_predict_worker, payloads, threads))
+    expected = np.vstack([expected_events(m, cm, snapshot, grid) for m, cm in pairs])
 
-    if event_point is not None and (censor_point is not None or not censor_sets):
-        point = expected_events(event_point, censor_point, snapshot, grid)
-    else:
+    if event_point is None or (censor_sets and censor_point is None):
         point = expected.mean(axis=0)
+    elif event_point is pairs[0][0] and censor_point is pairs[0][1]:  # a plain model or fit
+        point = expected[0]
+    else:
+        point = expected_events(event_point, censor_point, snapshot, grid)
     return PredictionEnsemble(
         grid=grid,
         point=point,
@@ -537,13 +529,13 @@ def event_interval(
 ) -> np.ndarray:
     """Rows of (time, point, lower, upper) predicted event counts.
 
-    ``confidence`` takes percentiles of the expected curves across bootstrap
-    replicates (model uncertainty only, so a bootstrap ensemble is
-    required); ``predictive`` takes percentiles of the pooled
-    single-generation draws and is never narrower. Curves are interpolated
-    on the grid: a time before the analysis time takes their first values
-    (the observed count), one past the horizon their last values, and a
-    NaN time gives NaN cells.
+    ``confidence`` takes percentiles of the exact expected curves across
+    bootstrap replicates (parameter uncertainty only, so a bootstrap
+    ensemble is required); ``predictive`` takes percentiles of the pooled
+    simulated single-generation draws, which add event-level noise. Curves
+    are interpolated on the grid: a time before the analysis time takes
+    their first values (the observed count), one past the horizon their
+    last values, and a NaN time gives NaN cells.
     """
     curves = _interval_curves(ens, level, kind)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -581,7 +573,8 @@ def timeline_for_events(
     """Rows of (n_event, time, lower, upper): when each target count is hit.
 
     Each curve is inverted by linear interpolation on the grid; percentile
-    summaries run over the per-replicate (or per-draw) crossing times. The
+    summaries run over the crossing times of the replicates' exact expected
+    curves (``confidence``) or of the simulated draws (``predictive``). The
     point or a bound is NaN when the point curve or that percentile of
     curves never reaches the target within the horizon, and all three are
     NaN for a NaN target. Targets at or below the observed count return the

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -320,6 +321,41 @@ def test_followup_matches_sim_followup(workdir):
                 assert cells == want
             else:
                 np.testing.assert_array_equal(_floats(cells), want)
+
+
+def test_every_output_file_has_a_manifest(tmp_path):
+    """Each file a subcommand writes, by any output flag or default name,
+    has a manifest next to it that names the subcommand and its argv."""
+    w = lambda name: str(tmp_path / name)
+    data = ["--in", w("cut.csv")]
+    fit_flags = ["--nbreak", "1", "--optimizer", "bfs", "--seed", str(SEED)]
+    predict = ["predict", *data, "--model", w("boot.json"), "--analysis_time", str(CUT),
+               "--n_remaining", "10", "--rate", "5", "--n_each", "5", "--seed", str(SEED)]
+    followup = ["followup", *DESIGN_ARGS, "--at", "10,25", "--by_group", "--rep", "2"]
+    runs = [
+        ["dist", "--rates", "0.1", "--at", "1,2", "--out", w("dist.csv")],
+        ["simulate", *DESIGN_ARGS, "--out", w("trial.csv")],
+        ["cut", "--in", w("trial.csv"), "--cut", str(CUT), "--out", w("cut.csv")],
+        ["km", *data, "--out", w("km.csv")],
+        ["fit", *data, *fit_flags, "--out", w("fit.json"), "--curve-out", w("curve.csv")],
+        ["boot", *data, *fit_flags, "--nsim", "2", "--out", w("boot.json")],
+        ["cv", *data, *fit_flags, "--nsim", "2", "--out", w("cv.csv")],
+        [*predict, "--eval_at", "22,26", "--out", w("interval.csv"),
+         "--timeline_at", "300", "--timeline_out", w("timeline.csv")],
+        [*followup, "--out", w("followup.csv")],
+        [*followup, "--out", w("followup2.csv"), "--group_out", w("groups.csv")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+    outputs = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json"))
+    assert outputs == sorted(["dist.csv", "trial.csv", "cut.csv", "km.csv", "fit.json", "curve.csv",
+                              "boot.json", "cv.csv", "interval.csv", "timeline.csv", "followup.csv",
+                              "followup.csv.by_group.csv", "followup2.csv", "groups.csv"])
+    for name in outputs:
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["argv"] in runs and manifest["subcommand"] == manifest["argv"][0]
+        assert any(w(name).startswith(arg) for arg in manifest["argv"][1:] if arg.startswith(w("")))
 
 
 def test_followup_rejects_no_milestones(tmp_path, capsys):

@@ -51,8 +51,7 @@ def _assert_same(a: pr.PredictionEnsemble, b: pr.PredictionEnsemble):
 def test_accrual_plan_months():
     plan = pw.AccrualPlan(n_remaining=6, monthly_counts=(2, 0, 3, 4))
     assert plan.last_month == 4.0
-    times = plan.draw_times(10.0, np.random.default_rng(0))
-    assert np.floor(times - 10.0).tolist() == [0, 0, 2, 2, 2, 3]
+    assert pr._enrol_months(plan.n_remaining, plan.rate, plan.monthly_counts).tolist() == [0, 0, 2, 2, 2, 3]
     assert pw.AccrualPlan(n_remaining=60, rate=15.0).last_month == 4.0
     assert pw.AccrualPlan(n_remaining=61, rate=15.0).last_month == 5.0
 
@@ -107,8 +106,8 @@ class TestExponentialOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_point_within_4_se(self, seed):
-        """The simulated expected curve lies within 4 SE of the closed form,
-        and the point curve is the closed form."""
+        """The mean of the predictive draws lies within 4 SE of the closed
+        form, and the point and expected curves are the closed form."""
         enroll = np.random.default_rng(seed).uniform(0.0, T0, 300)
         snap = pw.TrialSnapshot(analysis_time=T0, n_events=25, enroll_times=enroll)
         n_each = 200
@@ -117,8 +116,9 @@ class TestExponentialOracle:
         p = LAM / (LAM + MU) * -np.expm1(-(LAM + MU) * (ens.grid - T0))
         want = snap.n_events + len(enroll) * p
         se = np.sqrt(len(enroll) * p * (1.0 - p) / n_each)
-        assert ens.point[0] == ens.expected[0, 0] == snap.n_events
-        assert np.all(np.abs(ens.expected[0] - want) <= 4.0 * se)
+        assert ens.point[0] == snap.n_events
+        np.testing.assert_array_equal(ens.expected, ens.point[None, :])
+        assert np.all(np.abs(ens.predictive.mean(axis=0) - want) <= 4.0 * se)
         # the curve is far from flat: the check has power
         assert want[-1] - want[0] > 100 * se.max()
         np.testing.assert_allclose(ens.point, want, rtol=1e-9)
@@ -272,18 +272,74 @@ class TestExpectedEvents:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_simulated_at_risk_curve_within_4_se(self, snapshot, seed):
-        """The simulated expected curve of the at-risk subjects lies within 4
-        SE of the closed form. (Future enrollees of one parameter set share
-        one enrollment draw across all ``n_each`` columns, so their SE
-        would be understated; they are left out.)"""
+        """The mean of the at-risk subjects' predictive draws lies within 4
+        SE of the closed form (the accrual cohort is checked by
+        ``test_simulated_accrual_curves_within_4_se``)."""
         event_m, censor_m = pw.PweModel((0.1, 0.03, 0.2), (4.0, 13.0)), pw.PweModel((0.02, 0.05), (8.5,))
         snap = pw.TrialSnapshot(T0, snapshot.n_events, snapshot.enroll_times)
         n_each = 4000
         ens = pw.predict_events(event_m, censor_m, snap, n_each=n_each, seed=seed, grid_points=40)
         p = reference_event_prob(event_m, censor_m, snap.elapsed[:, None], snap.elapsed[:, None] + ens.grid - T0)
         se = np.sqrt((p * (1.0 - p)).sum(axis=0) / n_each)
-        assert np.all(np.abs(ens.expected[0] - ens.point) <= 4.0 * se)
+        assert np.all(np.abs(ens.predictive.mean(axis=0) - ens.point) <= 4.0 * se)
         assert ens.point[-1] - ens.point[0] > 100 * se.max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simulated_accrual_curves_within_4_se(self, seed):
+        """For future enrollees only, the mean of each parameter set's
+        predictive draws lies within 4 SE of that set's closed form. Each
+        draw enrolls a subject anew, uniform within its month, so the
+        per-draw SE holds: subject i has an event by each time with its
+        probability averaged over the month, p_i, and the mean's variance
+        is the sum of p_i (1 - p_i) over n_each."""
+        plan = pw.AccrualPlan(n_remaining=200, rate=40.0)
+        snap = pw.TrialSnapshot(T0, 12, np.empty(0), plan)
+        n_each = 1000
+        ens = pw.predict_events(ENSEMBLE, CENSOR, snap, n_each=n_each, seed=seed, grid_points=40)
+        months = pr._enrol_months(plan.n_remaining, plan.rate, None)
+        for b, rep in enumerate(ENSEMBLE.replicates):
+            # p for one subject enrolling in month m, by quadrature over the month
+            p = {m: reference_expected_events(rep.model, CENSOR, pw.TrialSnapshot(
+                     T0, 0, np.empty(0), pw.AccrualPlan(1, monthly_counts=(0,) * int(m) + (1,))), ens.grid)
+                 for m in np.unique(months)}
+            se = np.sqrt(sum(p[m] * (1.0 - p[m]) for m in months) / n_each)
+            mean = ens.predictive[b * n_each:(b + 1) * n_each].mean(axis=0)
+            assert np.all(np.abs(mean - ens.expected[b]) <= 4.0 * se)
+            assert ens.expected[b, -1] - ens.expected[b, 0] > 100 * se.max()
+
+    def test_future_enrollees_enter_per_draw(self):
+        """With an event almost at entry, each predictive curve of a lone
+        future enrollee jumps where that draw enrolled: uniform over the
+        month, not at one time shared by the set's draws."""
+        snap = pw.TrialSnapshot(T0, 0, np.empty(0), pw.AccrualPlan(n_remaining=1, rate=1.0))
+        ens = pw.predict_events(pw.PweModel((1e4,)), None, snap, n_each=400, seed=5,
+                                horizon=T0 + 1.5, grid_points=30)
+        assert np.all(ens.predictive[:, -1] == 1)
+        # the month spans the first 20 bins, about 20 draws each
+        counts = np.bincount(np.argmax(ens.predictive >= 1, axis=1), minlength=31)
+        assert counts[0] == 0 and counts[1:21].min() > 0 and counts.max() < 45
+
+
+def per_subject_curves(event_m, censor_m, snap, n_each, grid, seed):
+    """The predictive curves of one parameter set, subject by subject: event
+    and censoring times from two child streams of ``default_rng(seed)``,
+    and each future enrollee's ``n_each`` entry times, uniform within its
+    month, from that generator itself."""
+    rng = np.random.default_rng(seed)
+    event_rng, censor_rng = rng.spawn(2)
+    counts = np.zeros((n_each, len(grid)), dtype=int)
+    subjects = [(u, pw.conditional_sample(event_m, n_each, r, event_rng),
+                 pw.conditional_sample(censor_m, n_each, r, censor_rng))
+                for u, r in zip(snap.enroll_times, snap.elapsed)]
+    plan = snap.accrual
+    subjects += [(snap.analysis_time + m + rng.random(n_each), pw.sample(event_m, n_each, event_rng),
+                  pw.sample(censor_m, n_each, censor_rng))
+                 for m in pr._enrol_months(plan.n_remaining, plan.rate, plan.monthly_counts)]
+    for u, t, c in subjects:
+        gi = np.searchsorted(grid, u + t, side="left")
+        hit = (t < c) & (gi < len(grid))
+        np.add.at(counts, (np.flatnonzero(hit), gi[hit]), 1)
+    return counts.cumsum(axis=1) + snap.n_events
 
 
 class TestCurves:
@@ -303,54 +359,24 @@ class TestCurves:
         _assert_same(_predict(snapshot, threads=1), _predict(snapshot, threads=2))
 
     def test_matches_per_subject_loop(self, snapshot):
-        """The blocked draws equal a per-subject loop over the same two
-        streams, counted with ``np.add.at``."""
-        event_m, censor_m = pw.PweModel((0.1, 0.05), (6.0,)), CENSOR
+        """The blocked draws equal a per-subject loop over the same streams,
+        counted with ``np.add.at``."""
+        event_m = pw.PweModel((0.1, 0.05), (6.0,))
         grid = np.linspace(T0, T0 + 25.0, 41)
-        rng = np.random.default_rng(np.random.SeedSequence(4))
-        ed, ped = pr._simulate_curves(event_m, censor_m, snapshot, 30, grid, rng)
-
-        rng = np.random.default_rng(np.random.SeedSequence(4))
-        event_rng, censor_rng = rng.spawn(2)
-        counts = np.zeros((30, len(grid)), dtype=int)
-        subjects = [(u, pw.conditional_sample(event_m, 30, r, event_rng),
-                     pw.conditional_sample(censor_m, 30, r, censor_rng))
-                    for u, r in zip(snapshot.enroll_times, snapshot.elapsed)]
-        subjects += [(u, pw.sample(event_m, 30, event_rng), pw.sample(censor_m, 30, censor_rng))
-                     for u in snapshot.accrual.draw_times(T0, rng)]
-        for u, t, c in subjects:
-            gi = np.searchsorted(grid, u + t, side="left")
-            hit = (t < c) & (gi < len(grid))
-            np.add.at(counts, (np.flatnonzero(hit), gi[hit]), 1)
-        want = counts.cumsum(axis=1) + snapshot.n_events
-        np.testing.assert_array_equal(ped, want)
-        np.testing.assert_array_equal(ed, want.mean(axis=0))
+        ped = pr._simulate_curves(event_m, CENSOR, snapshot, 30, grid, np.random.default_rng(4))
+        np.testing.assert_array_equal(ped, per_subject_curves(event_m, CENSOR, snapshot, 30, grid, 4))
 
     def test_matches_per_subject_loop_when_most_draws_overflow(self, snapshot):
-        """The reference loop of ``test_matches_per_subject_loop`` with heavy
-        censoring and a short horizon: most draws are censored first or
-        fall past the grid, into the overflow bin."""
+        """The reference loop with heavy censoring and a short horizon: most
+        draws are censored first or fall past the grid, into the overflow
+        bin."""
         event_m, censor_m = pw.PweModel((0.1, 0.05), (6.0,)), pw.PweModel((0.8, 0.3), (1.0,))
         grid = np.linspace(T0, T0 + 2.0, 41)
-        rng = np.random.default_rng(np.random.SeedSequence(4))
-        ed, ped = pr._simulate_curves(event_m, censor_m, snapshot, 30, grid, rng)
-
-        rng = np.random.default_rng(np.random.SeedSequence(4))
-        event_rng, censor_rng = rng.spawn(2)
-        counts = np.zeros((30, len(grid)), dtype=int)
-        subjects = [(u, pw.conditional_sample(event_m, 30, r, event_rng),
-                     pw.conditional_sample(censor_m, 30, r, censor_rng))
-                    for u, r in zip(snapshot.enroll_times, snapshot.elapsed)]
-        subjects += [(u, pw.sample(event_m, 30, event_rng), pw.sample(censor_m, 30, censor_rng))
-                     for u in snapshot.accrual.draw_times(T0, rng)]
-        for u, t, c in subjects:
-            gi = np.searchsorted(grid, u + t, side="left")
-            hit = (t < c) & (gi < len(grid))
-            np.add.at(counts, (np.flatnonzero(hit), gi[hit]), 1)
-        assert 0 < counts.sum() < 0.2 * 30 * len(subjects)
-        want = counts.cumsum(axis=1) + snapshot.n_events
+        ped = pr._simulate_curves(event_m, censor_m, snapshot, 30, grid, np.random.default_rng(4))
+        want = per_subject_curves(event_m, censor_m, snapshot, 30, grid, 4)
+        subjects = len(snapshot.enroll_times) + snapshot.accrual.n_remaining
+        assert 0 < want[:, -1].sum() - 30 * snapshot.n_events < 0.2 * 30 * subjects
         np.testing.assert_array_equal(ped, want)
-        np.testing.assert_array_equal(ed, want.mean(axis=0))
 
     @pytest.mark.parametrize("block", [1, 777, 8192])
     def test_block_size_does_not_change_result(self, monkeypatch, snapshot, block):
@@ -359,18 +385,19 @@ class TestCurves:
         _assert_same(_predict(snapshot), ref)
 
     def test_pinned_digest(self, snapshot):
-        """SHA-256 of the simulated curves of a fixed scenario (3 bootstrap
-        replicates and a base fit, a two-piece censoring model, future
-        accrual), taken before the point curve came from the closed form, on
-        the tree that still simulated it: changes to the samplers or to the
-        point curve must keep every draw. The digest covers float bits, so a
-        numpy whose ``log1p`` rounds differently changes it too."""
+        """SHA-256 of the expected and predictive curves of a fixed scenario
+        (3 bootstrap replicates and a base fit, a two-piece censoring model,
+        future accrual), taken when the expected curves became exact and
+        future enrollees got an entry time per draw: changes to the
+        samplers or to the closed form must keep every bit. The digest
+        covers float bits, so a numpy whose ``log1p`` rounds differently
+        changes it too."""
         ens = pw.predict_events(ENSEMBLE, pw.PweModel((0.02, 0.05), (8.0,)), snapshot,
                                 n_each=30, seed=11, grid_points=50)
         h = hashlib.sha256()
         for name in ("expected", "predictive"):
             h.update(getattr(ens, name).tobytes())
-        assert h.hexdigest() == "c7c564cc6ff83ff6032e6186434fa5a238c87da200428161e5e17485c9c4c21b"
+        assert h.hexdigest() == "137ee56bd591c58e5f874ae69208da571dd58a2585ab50f221eb344b6f0b6730"
 
     @pytest.mark.parametrize("event, censor", [
         (ENSEMBLE, pw.PweModel((0.02, 0.05), (8.0,))),
@@ -383,6 +410,37 @@ class TestCurves:
         fit of a bootstrap ensemble), bit for bit."""
         ens = pw.predict_events(event, censor, snapshot, n_each=30, seed=11, grid_points=50)
         np.testing.assert_array_equal(ens.point, pw.expected_events(ENSEMBLE.base, censor, snapshot, ens.grid))
+
+    @pytest.mark.parametrize("event, censor", [
+        (ENSEMBLE.base.model, CENSOR),
+        (ENSEMBLE.base, None),
+        (ENSEMBLE, _result(CENSOR)),
+        (BootFit(ENSEMBLE.replicates, None, 3, 0), None),
+        (ENSEMBLE, BootFit([_result(CENSOR), _result(pw.PweModel((0.05, 0.01), (3.0,)))], None, 2, 0)),
+    ], ids=["model", "fit", "boot", "boot_without_base", "boot_censoring"])
+    def test_expected_is_expected_events_per_set(self, snapshot, event, censor):
+        """Row b of ``expected`` is the closed form of event set b and
+        censoring set b % k, bit for bit."""
+        ens = pw.predict_events(event, censor, snapshot, n_each=5, seed=3, grid_points=30)
+        events, censors = ([] if m is None else m.replicates if isinstance(m, BootFit) else [m]
+                           for m in (event, censor))
+        assert ens.expected.shape == (len(events), len(ens.grid))
+        for b, m in enumerate(events):
+            cm = censors[b % len(censors)] if censors else None
+            np.testing.assert_array_equal(ens.expected[b], pw.expected_events(m, cm, snapshot, ens.grid))
+
+    @pytest.mark.parametrize("event", [ENSEMBLE.base, ENSEMBLE.base.model], ids=["fit", "model"])
+    def test_plain_fit_makes_one_closed_form_call(self, monkeypatch, snapshot, event):
+        calls, closed_form = [], pr.expected_events
+
+        def counting(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(pr, "expected_events", counting)
+        ens = pw.predict_events(event, CENSOR, snapshot, n_each=5, seed=3, grid_points=30)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ens.point, ens.expected[0])
 
     @pytest.mark.parametrize("event, censor", [
         (BootFit(ENSEMBLE.replicates, None, 3, 0), CENSOR),
