@@ -335,11 +335,11 @@ def _cmd_followup(args, argv):
         follow_up_endpoint=tuple(t.strip() for t in args.follow_up_endpoint.split(",")),
         threads=args.threads,
     )
-    res.save_csv(args.out)
+    write_table(args.out, res.overall)
     _write_manifest(args.out, "followup", argv)
     if args.by_group:
         group_out = args.group_out or f"{args.out}.by_group.csv"
-        res.save_csv(group_out, by_group=True)
+        write_table(group_out, res.by_group)
         _write_manifest(group_out, "followup", argv)
     return 0
 

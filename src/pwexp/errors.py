@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its whole-number check."""
 
 
 class PwexpError(Exception):
@@ -24,3 +24,15 @@ class NoFeasibleModelError(PwexpError):
     infeasible. Resampling records such a replicate as a failure; a bad
     argument raises ``ValueError`` instead.
     """
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a whole number (an
+    int, a numpy integer or a whole-valued float)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole

@@ -57,8 +57,8 @@ class AccrualPlan:
             return
         if (self.rate is None) == (self.monthly_counts is None):
             raise ValueError("specify exactly one of rate or monthly_counts")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if self.rate is not None and not 0 < self.rate < np.inf:
+            raise ValueError("rate must be positive and finite")
         if self.monthly_counts is not None:
             counts = tuple(int(c) for c in self.monthly_counts)
             if any(c < 0 for c in counts):

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import NoFeasibleModelError
+from .errors import NoFeasibleModelError, _whole
 from .estimation import FitConfig, FitResult, _check_sample, _fit_batch, fit, loglik
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
@@ -89,42 +88,11 @@ def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-# Replicates fitted together, in one segmented lockstep for ``ols`` and
-# ``hybrid``. A replicate waiting for the lockstep holds only its regression
-# inputs, its log KM points and starts (about 0.04 MB at 8,000 subjects);
-# its sample and sorted view (about 0.27 MB) are dropped and drawn again to
-# finish the fit (see _fit_batch and _Rebuilt). The lockstep adds each
-# replicate's line sums (about 0.16 MB). So memory is bounded whatever
-# ``nsim``, and larger blocks share more of the lockstep's per-iteration
-# cost; at 8,000 subjects blocks of 16 and 32 were not measurably faster
-# than 10 and raised the traced peak 1.5x and 3x.
-_BLOCK = 10
-
-
-class _Rebuilt(Sequence):
-    """Item k is ``build(keys[k])``, built anew on each read, so that the
-    sequence holds none of its items: each replicate sample exists only
-    while :func:`_fit_batch` reads it."""
-
-    def __init__(self, build, keys):
-        self.build, self.keys = build, keys
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, k):
-        return self.build(self.keys[k])
-
-
 def _chunks(data: SurvSample, nsim: int, threads: int, *args) -> list:
     """One payload per worker: the sample's time and event columns only,
     ``args``, and a contiguous run of replicate numbers."""
     runs = np.array_split(np.arange(nsim), max(1, min(int(threads), nsim)))
     return [(data.time, data.event, *args, run) for run in runs]
-
-
-def _blocks(run: np.ndarray):
-    return (run[i : i + _BLOCK] for i in range(0, len(run), _BLOCK))
 
 
 def _boot_chunk(payload) -> list:
@@ -134,12 +102,9 @@ def _boot_chunk(payload) -> list:
         idx = _resample_indices(derive_rng(seed, 1, b), len(time))
         return SurvSample(time[idx], event[idx])
 
-    out = []
-    for block in _blocks(run):
-        configs = [replace(config, seed=derive_seed(seed, 2, b)) for b in block]
-        for b, res in zip(block, _fit_batch(_Rebuilt(resample, block), configs)):
-            out.append((True, res) if isinstance(res, FitResult) else (False, f"replicate {b}: {res}"))
-    return out
+    items = ((b, replace(config, seed=derive_seed(seed, 2, b))) for b in run)
+    return [(True, res) if isinstance(res, FitResult) else (False, f"replicate {b}: {res}")
+            for b, res in _fit_batch(resample, items)]
 
 
 def boot_fit(
@@ -148,19 +113,17 @@ def boot_fit(
     """Fit ``nsim`` case resamples of ``data`` (size n, with replacement).
 
     Replicate b draws its resample and its search stream from child streams
-    of (seed, b). Replicates are fitted in blocks, the segmented regressions
-    of a block's ``ols`` or ``hybrid`` fits in one lockstep, and with
-    ``threads`` workers each takes a contiguous run of replicates. A
-    replicate waiting for the lockstep holds only its log KM points and
-    starts: its resample is drawn again from its stream to finish the fit,
-    so memory does not grow with its sample while it waits. Every
-    replicate's fit is the one :func:`fit` gives on its resample, so the
-    result is identical for any worker count. Replicates whose fit raises
+    of (seed, b). With ``threads`` workers each takes a contiguous run of
+    replicates, fitted in blocks by :func:`~pwexp.estimation._fit_batch`,
+    which draws a resample again from its stream rather than keep it.
+    Every replicate's fit is the one :func:`fit` gives on its resample, so
+    the result is identical for any worker count. Replicates whose fit raises
     :class:`EmptyPieceError` or :class:`NoFeasibleModelError` are recorded
     in ``failures`` and skipped; more than 50% failures raises
     :class:`NoFeasibleModelError`, as does an infeasible fit on the original
     data. Any other exception propagates.
     """
+    nsim = _whole(nsim, "nsim")
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
     base = fit(data, config)
@@ -204,34 +167,33 @@ _CV_DRAWS = 6
 
 
 def _cv_chunk(payload) -> list:
-    """Repetitions in blocks: each draw of a block's unfinished repetitions
-    is fitted as one batch, and a failed training fit is redrawn from the
-    repetition's own stream."""
+    """Each draw fits the run's unfinished repetitions as one batch, each
+    split drawn as the batch reaches it, so that at most one block of masks
+    exists; a failed training fit is redrawn from the repetition's own
+    stream."""
     time, event, config, seed, frac, run = payload
-    out = []
-    for block in _blocks(run):
-        rngs = [derive_rng(seed, 3, i) for i in block]
-        result, last = [None] * len(block), [None] * len(block)
-        todo = list(range(len(block)))
-        for attempt in range(_CV_DRAWS):
-            if not todo:
-                break
-            masks = [_stratified_split(rngs[k], event, frac, config.nbreak + 1) for k in todo]
-            trains = _Rebuilt(lambda m: SurvSample(time[~m], event[~m]), masks)
-            configs = [replace(config, seed=derive_seed(seed, 4, block[k], attempt)) for k in todo]
-            retry = []
-            for k, mask, res in zip(todo, masks, _fit_batch(trains, configs)):
-                if isinstance(res, FitResult):
-                    result[k] = (True, loglik(res.model, SurvSample(time[mask], event[mask])))
-                else:
-                    last[k] = f"{type(res).__name__}: {res}"
-                    retry.append(k)
-            todo = retry
-        for k in todo:
-            result[k] = (False, f"repetition {block[k]}: no feasible training fit in "
-                                f"{_CV_DRAWS} draws; last: {last[k]}")
-        out += result
-    return out
+    rngs = {i: derive_rng(seed, 3, i) for i in run}
+    done, last = {}, {}
+
+    def train(key):
+        return SurvSample(time[~key[1]], event[~key[1]])
+
+    def score(item):
+        # the mask lives in this frame only, not in the caller's loop
+        (i, mask), res = item
+        if isinstance(res, FitResult):
+            done[i] = (True, loglik(res.model, SurvSample(time[mask], event[mask])))
+        else:
+            last[i] = f"{type(res).__name__}: {res}"
+        return i
+
+    todo = list(run)
+    for attempt in range(_CV_DRAWS):
+        items = (((i, _stratified_split(rngs[i], event, frac, config.nbreak + 1)),
+                  replace(config, seed=derive_seed(seed, 4, i, attempt))) for i in todo)
+        todo = [i for i in map(score, _fit_batch(train, items)) if i not in done]
+    return [done.get(i) or (False, f"repetition {i}: no feasible training fit in "
+                                   f"{_CV_DRAWS} draws; last: {last[i]}") for i in run]
 
 
 def cv_loglik(
@@ -247,10 +209,9 @@ def cv_loglik(
     Each repetition holds out ``test_fraction`` of the records (stratified
     by event status), fits on the remainder, and scores the held-out
     records. Split streams are derived from (seed, repetition) alone, so
-    two models compared under the same seed see identical splits.
-    Repetitions are fitted in blocks, the segmented regressions of a
-    block's ``ols`` or ``hybrid`` fits in one lockstep, and with ``threads``
-    workers each takes a contiguous run of repetitions; every training fit
+    two models compared under the same seed see identical splits. With
+    ``threads`` workers each takes a contiguous run of repetitions, fitted
+    in blocks by :func:`~pwexp.estimation._fit_batch`; every training fit
     is the one :func:`fit` gives on its split, so the values are identical
     for any worker count. Follow-up times must be finite. For
     ``optimizer`` ``"ols"`` or ``"hybrid"``, a sample with fewer than
@@ -262,6 +223,7 @@ def cv_loglik(
     exception propagates. When every repetition fails,
     :class:`NoFeasibleModelError` names the first failure's last reason.
     """
+    nsim = _whole(nsim, "nsim")
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
     if not 0.0 < test_fraction < 1.0:

@@ -10,6 +10,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, sample as pwe_sample
+from .errors import _whole
 from .rng import derive_rng
 from .survdata import SurvSample, write_table
 
@@ -71,8 +72,8 @@ class TrialDesign:
         if rate_form:
             if self.rand_rate is None or self.total_sample is None:
                 raise ValueError("rate-form enrollment needs both rand_rate and total_sample")
-            if self.rand_rate <= 0 or self.total_sample < 0:
-                raise ValueError("rand_rate must be positive and total_sample nonnegative")
+            if not 0 < self.rand_rate < np.inf or self.total_sample < 0:
+                raise ValueError("rand_rate must be positive and finite, and total_sample nonnegative")
         else:
             counts = tuple(int(c) for c in self.n_rand)
             if any(c < 0 for c in counts):
@@ -281,19 +282,14 @@ class prop_above:
 
 @dataclass
 class SimFollowup:
-    """Mean-over-replicates summaries at each requested milestone."""
+    """Mean-over-replicates summaries at each requested milestone, as
+    column tables (header -> values) for :func:`write_table`: ``overall``
+    has one row per milestone, ``by_group`` one per group and milestone,
+    group-major."""
 
-    columns: tuple[str, ...]
-    overall: list[dict]
-    by_group: list[dict] | None
+    overall: dict[str, np.ndarray]
+    by_group: dict[str, np.ndarray] | None
     n_unreached: int
-
-    def save_csv(self, path, by_group: bool = False):
-        """The overall (or by-group) table, in the cell format of :func:`write_table`."""
-        rows = self.by_group if by_group else self.overall
-        if rows is None:
-            raise ValueError("no by-group table was requested")
-        write_table(path, {c: [r[c] for r in rows] for c in rows[0]})
 
 
 def _resolve_cut(frame: TrialFrame, milestone: float, kind: str) -> tuple[float, bool]:
@@ -331,31 +327,23 @@ def _followup_times(frame: TrialFrame, keep: np.ndarray, cut: float, endpoints) 
 
 
 def _followup_worker(payload):
+    """One replicate's (milestone x cell x value) array: cell 0 holds every
+    subject, then one cell per group; the values are the cut, the event and
+    subject counts, then the statistics."""
     design, seed, r, at, kind, endpoints, stats, group_names = payload
     frame = simulate_trial(design, derive_rng(seed, 20, r))
-    n_at = len(at)
-    width = 3 + len(stats)
-    overall = np.empty((n_at, width))
-    grouped = np.empty((n_at, len(group_names), width)) if group_names else None
+    cells = [np.ones(len(frame), dtype=bool)] + [frame.group == g for g in group_names]
+    out = np.empty((len(at), len(cells), 3 + len(stats)))
     unreached = 0
     for j, milestone in enumerate(at):
         cut, ok = _resolve_cut(frame, milestone, kind)
         unreached += 0 if ok else 1
-        masks = [np.ones(len(frame), dtype=bool)]
-        outs = [overall[j]]
-        if group_names:
-            masks += [frame.group == g for g in group_names]
-            outs += [grouped[j, gi] for gi in range(len(group_names))]
-        for mask, out in zip(masks, outs):
+        for c, mask in enumerate(cells):
             keep = mask & (frame.randT <= cut)
-            n_event = int(np.sum(keep & (frame.event == 1) & (frame.followT_abs <= cut)))
             fu = _followup_times(frame, keep, cut, endpoints)
-            out[0] = cut
-            out[1] = n_event
-            out[2] = int(keep.sum())
-            for si, f in enumerate(stats):
-                out[3 + si] = f(fu) if len(fu) else np.nan
-    return overall, grouped, unreached
+            out[j, c, :3] = cut, np.sum(keep & (frame.event == 1) & (frame.followT_abs <= cut)), keep.sum()
+            out[j, c, 3:] = [f(fu) if len(fu) else np.nan for f in stats]
+    return out, unreached
 
 
 def sim_followup(
@@ -384,6 +372,7 @@ def sim_followup(
     processes, so sampler hooks and statistics must be module-level
     callables; anything that cannot be pickled raises ``ValueError``.
     """
+    rep = _whole(rep, "rep")
     if rep < 1:
         raise ValueError("rep must be >= 1")
     at = [float(a) for a in at]
@@ -408,37 +397,19 @@ def sim_followup(
         for r in range(rep)
     ]
     results = parallel_map(_followup_worker, payloads, threads)
-    overall = np.mean([r[0] for r in results], axis=0)
-    grouped = np.mean([r[1] for r in results], axis=0) if by_group else None
-    n_unreached = sum(r[2] for r in results)
+    mean = np.mean([r[0] for r in results], axis=0)
+    n_unreached = sum(r[1] for r in results)
     if n_unreached:
         _warnings.warn(
             f"{n_unreached} replicate-milestone pairs never reached the milestone; "
             "their end-of-horizon state was used",
             stacklevel=2,
         )
-    stat_names = [getattr(f, "__name__", str(f)) for f in stats]
-    cols = ("at", "analysis_time", "event", "subjects", *stat_names)
-
-    def make_rows(mat, group=None):
-        rows = []
-        for j, milestone in enumerate(at):
-            row: dict = {"at": milestone}
-            if group is not None:
-                row["group"] = group
-            row["analysis_time"] = mat[j, 0]
-            row["event"] = mat[j, 1]
-            row["subjects"] = mat[j, 2]
-            for si, name in enumerate(stat_names):
-                row[name] = mat[j, 3 + si]
-            rows.append(row)
-        return rows
-
-    overall_rows = make_rows(overall)
-    group_rows = None
+    names = ["analysis_time", "event", "subjects", *(getattr(f, "__name__", str(f)) for f in stats)]
+    overall = {"at": np.array(at), **dict(zip(names, mean[:, 0].T))}
+    groups = None
     if by_group:
-        group_rows = []
-        for gi, g in enumerate(group_names):
-            group_rows.extend(make_rows(grouped[:, gi, :], group=g))
-    return SimFollowup(columns=cols, overall=overall_rows, by_group=group_rows,
-                       n_unreached=n_unreached)
+        rows = mean[:, 1:].transpose(1, 0, 2).reshape(-1, len(names))  # group-major
+        groups = {"at": np.tile(at, len(group_names)), "group": np.repeat(group_names, len(at)),
+                  **dict(zip(names, rows.T))}
+    return SimFollowup(overall=overall, by_group=groups, n_unreached=n_unreached)

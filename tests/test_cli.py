@@ -312,15 +312,14 @@ def test_followup_matches_sim_followup(workdir):
     assert main(argv) == 0
     ref = pw.sim_followup(DESIGN, at=[10.0, 25.0], stats=[np.mean, np.median, pw.prop_above(5)],
                           by_group=True, rep=3, seed=SEED)
-    for path, rows in ((out, ref.overall), (workdir / "followup.csv.by_group.csv", ref.by_group)):
+    for path, table in ((out, ref.overall), (workdir / "followup.csv.by_group.csv", ref.by_group)):
         cols = _columns(path)
-        assert list(cols) == list(rows[0])
+        assert list(cols) == list(table)
         for name, cells in cols.items():
-            want = [r[name] for r in rows]
             if name == "group":
-                assert cells == want
+                assert cells == table[name].tolist()
             else:
-                np.testing.assert_array_equal(_floats(cells), want)
+                np.testing.assert_array_equal(_floats(cells), table[name])
 
 
 def test_every_output_file_has_a_manifest(tmp_path):

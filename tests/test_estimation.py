@@ -656,6 +656,16 @@ class TestFitDispatch:
         with pytest.raises(ValueError):
             FitConfig(nbreak=2, fixed_breakpoints=(25.0,), exclude_int=(23.0, np.inf))
 
+    @pytest.mark.parametrize("nbreak", [1.7, np.nan, np.inf, "2"])
+    def test_nbreak_must_be_whole(self, nbreak):
+        with pytest.raises(ValueError, match="nbreak must be a whole number"):
+            FitConfig(nbreak=nbreak)
+
+    @pytest.mark.parametrize("nbreak", [2.0, np.int64(2), np.float32(2.0)])
+    def test_whole_valued_nbreak_is_an_int(self, nbreak):
+        nb = FitConfig(nbreak=nbreak).nbreak
+        assert nb == 2 and type(nb) is int
+
     def test_invalid_fixed_cleaned_with_warning(self):
         d = SurvSample([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 1, 1])
         res = fit(d, FitConfig(fixed_breakpoints=(0.1, 2.5), seed=0))
@@ -858,6 +868,21 @@ class TestOneSortedViewPerSample:
         assert len({id(d) for d in built}) == 1 + 2 * nsim
         draws = [d.time.tobytes() + d.event.tobytes() for d in built[1:]]
         assert all(draws.count(d) == 2 for d in draws)
+
+    @pytest.mark.parametrize("optimizer, builds", [("bfs", 1), ("ols", 2), ("hybrid", 2)])
+    def test_cv_builds_each_training_split(self, monkeypatch, scenario_train, optimizer, builds):
+        # an ols or hybrid training split is built once before the segmented
+        # lockstep and once after it, a bfs split once; the held-out splits
+        # are scored without a view
+        nsim = 4
+        data = self.fresh(scenario_train)
+        built = self.count_builds(monkeypatch)
+        cv = pw.cv_loglik(data, FitConfig(nbreak=2, optimizer=optimizer, seed=0), nsim=nsim, seed=3)
+        assert len(cv.values) == nsim
+        trains = [d for d in built if d is not data]
+        assert len(trains) == builds * nsim and all(len(d) < len(data) for d in trains)
+        draws = [d.time.tobytes() + d.event.tobytes() for d in trains]
+        assert all(draws.count(d) == builds for d in draws) and len(set(draws)) == nsim
 
     def test_repeated_fits_of_one_sample_equal_fits_of_fresh_copies(self, scenario_train):
         data = self.fresh(scenario_train)

@@ -56,6 +56,12 @@ def test_accrual_plan_months():
     assert pw.AccrualPlan(n_remaining=61, rate=15.0).last_month == 5.0
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+def test_accrual_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        pw.AccrualPlan(n_remaining=10, rate=rate)
+
+
 @pytest.mark.parametrize("reasons", [
     [None, "drop_out", "cut", "cut", None, "drop_out"],
     [None, None, None, None, None, None],

@@ -100,7 +100,7 @@ class TestBootFit:
 
     def test_value_error_propagates(self, monkeypatch, small_train):
         # a bug inside a replicate is not an infeasible resample
-        def batch_fails(samples, configs):
+        def batch_fails(build, items):
             raise ValueError("planted bug")
 
         monkeypatch.setattr("pwexp.resampling._fit_batch", batch_fails)
@@ -161,6 +161,20 @@ class TestBootFit:
             lo, hi = np.quantile(b1, [0.025, 0.975])
             widths[n] = hi - lo
         assert widths[4000] < widths[250]
+
+
+@pytest.mark.parametrize("resample", [boot_fit, cv_loglik])
+class TestNsimArgument:
+    def test_fractional_nsim_rejected(self, monkeypatch, small_train, resample):
+        monkeypatch.setattr("pwexp.resampling.parallel_map", lambda *a: pytest.fail("replicates ran"))
+        for nsim in (2.5, np.nan, "3"):
+            with pytest.raises(ValueError, match="nsim must be a whole number"):
+                resample(small_train, FitConfig(nbreak=0, seed=0), nsim=nsim, seed=1)
+
+    def test_whole_valued_nsim_recorded_as_int(self, small_train, resample):
+        for nsim in (3.0, np.int64(3)):
+            res = resample(small_train, FitConfig(nbreak=0, seed=0), nsim=nsim, seed=1)
+            assert res.nsim == 3 and type(res.nsim) is int
 
 
 class TestCvLoglik:
@@ -239,7 +253,7 @@ class TestCvLoglik:
             cv_loglik(d, cfg, nsim=2, seed=0)
 
     def test_value_error_propagates(self, monkeypatch, small_train):
-        def batch_fails(samples, configs):
+        def batch_fails(build, items):
             raise ValueError("planted bug")
 
         monkeypatch.setattr("pwexp.resampling._fit_batch", batch_fails)
@@ -386,8 +400,8 @@ class TestBatchMatchesSingleFits:
         want_cv = [cv_loglik(d, c, nsim=n, seed=s).values.tobytes() for d, c, n, s in cvs]
         assert want_boot[1]["failures"] and len(want_boot[1]["replicates"]) > 6
         assert max(reference_cv(*cvs[1][:2], nsim=6, seed=2)[2]) > 1
-        for block in (1, 3, rs._BLOCK, 32):
-            monkeypatch.setattr("pwexp.resampling._BLOCK", block)
+        for block in (1, 3, est._BLOCK, 32):
+            monkeypatch.setattr("pwexp.estimation._BLOCK", block)
             for threads in (1, 2, 3):
                 for (d, c, n, s), want in zip(boots, want_boot):
                     assert boot_fit(d, c, nsim=n, seed=s, threads=threads).to_dict() == want
@@ -400,13 +414,36 @@ class TestBatchMatchesSingleFits:
         bad = SurvSample([1.0, np.inf, 2.0], [1, 0, 1], censor_reason=[None, "never_event", None])
         cfg = FitConfig(nbreak=1, optimizer="hybrid", seed=0)
         with pytest.raises(ValueError, match="finite follow-up times"):
-            _fit_batch([good, bad, good], [cfg] * 3)
+            list(_fit_batch(lambda s: s, [(good, cfg), (bad, cfg), (good, cfg)]))
+
+    def test_keys_in_input_order_from_a_generator(self, monkeypatch):
+        # blocks of 3 mix fits that finish before the lockstep (bfs,
+        # fixed-only, failed) with ones that finish after it
+        monkeypatch.setattr("pwexp.estimation._BLOCK", 3)
+        samples = {"good": make_scenario(seed=1, n=300)[0], "thin": thin_sample(2, 10)}
+        configs = [FitConfig(nbreak=2, optimizer="hybrid", seed=0), FitConfig(nbreak=1, optimizer="bfs", seed=0),
+                   FitConfig(nbreak=1, optimizer="ols", seed=0), FitConfig(fixed_breakpoints=(5.0,))]
+        keys = [(name, j) for j in range(len(configs)) for name in samples]
+        got = list(_fit_batch(lambda key: samples[key[0]], ((key, configs[key[1]]) for key in keys)))
+        assert [key for key, _ in got] == keys
+        kinds = set()
+        for (name, j), res in got:
+            try:
+                want = fit(samples[name], configs[j])
+            except (EmptyPieceError, NoFeasibleModelError) as exc:
+                want = exc
+            kinds.add(type(want))
+            if isinstance(want, Exception):
+                assert (type(res), str(res)) == (type(want), str(want))
+            else:
+                assert fingerprint(res) == fingerprint(want)
+        assert kinds == {est.FitResult, NoFeasibleModelError}
 
 
 class TestWaitingReplicatesHoldNoSample:
     """A replicate waiting for its block's segmented lockstep holds its
     regression inputs, not its sample: the sample is drawn again to finish
-    the fit."""
+    the fit. CV draws its splits as the blocks need them."""
 
     @staticmethod
     def track(monkeypatch):
@@ -445,12 +482,36 @@ class TestWaitingReplicatesHoldNoSample:
         boot_fit(scenario, replace(cfg, min_pt_tail=5), nsim=12, seed=3)
         cv_loglik(tied_sample(), cfg, nsim=6, seed=2)  # redrawn splits
         cv_loglik(scenario, replace(cfg, min_pt_tail=5), nsim=6, seed=3)
-        assert max(locksteps) == min(12, rs._BLOCK) and len(samples) > 2 * 12
+        assert max(locksteps) == min(12, est._BLOCK) and len(samples) > 2 * 12
 
     def test_a_list_of_samples_is_caught(self, monkeypatch):
-        # the check is not vacuous: samples passed as a list stay alive
+        # the check is not vacuous: samples passed as keys in a list stay alive
         samples, _ = self.track(monkeypatch)
         scenario, _, _ = make_scenario(seed=5, n=300)
         batch = [rs.SurvSample(scenario.time[::2], scenario.event[::2]) for _ in range(2)]
+        cfg = FitConfig(nbreak=2, optimizer="hybrid", seed=0)
         with pytest.raises(AssertionError, match="alive in the lockstep"):
-            _fit_batch(batch, [FitConfig(nbreak=2, optimizer="hybrid", seed=0)] * 2)
+            list(_fit_batch(lambda sample: sample, [(sample, cfg) for sample in batch]))
+
+    def test_cv_holds_one_block_of_splits(self, monkeypatch):
+        # 25 repetitions in blocks of 4: a run's splits drawn up front would
+        # all be alive in every lockstep
+        masks, alive = [], []
+        split, lockstep = rs._stratified_split, est._segmented_fits
+
+        def tracked(*args):
+            mask = split(*args)
+            masks.append(weakref.ref(mask))
+            return mask
+
+        def checked(problems):
+            alive.append(sum(ref() is not None for ref in masks))
+            return lockstep(problems)
+
+        monkeypatch.setattr("pwexp.resampling._stratified_split", tracked)
+        monkeypatch.setattr("pwexp.estimation._segmented_fits", checked)
+        monkeypatch.setattr("pwexp.estimation._BLOCK", 4)
+        scenario, _, _ = make_scenario(seed=5, n=300)
+        cv_loglik(scenario, FitConfig(nbreak=2, optimizer="hybrid", seed=5), nsim=25, seed=3)
+        assert len(masks) >= 25 and len(alive) >= 7
+        assert max(alive) <= 4, alive

@@ -33,7 +33,7 @@ class TestSimFollowupThreads:
     def test_lambda_hook_runs_serially(self):
         design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=lambda n, rng: rng.exponential(10.0, n)))
         res = sim_followup(design, at=[5.0], stats=[np.mean], rep=2, seed=0, threads=1)
-        assert res.overall[0]["subjects"] == 50.0
+        assert res.overall["subjects"][0] == 50.0
 
 
 def test_n_rand_counts_fill_their_months():
@@ -60,6 +60,28 @@ def test_empty_trial(enrol, iid):
     assert len(frame) == 0
     for name, col in vars(frame).items():
         assert (col.shape, col.dtype) == ((0,), getattr(full, name).dtype), name
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+def test_rand_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="rand_rate must be positive and finite"):
+        pw.TrialDesign(rand_rate=rate, total_sample=10, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+
+
+@pytest.mark.parametrize("rep", [2.5, np.nan, "2"])
+def test_sim_followup_rep_must_be_whole(monkeypatch, rep):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match="rep must be a whole number"):
+        sim_followup(design, at=[5.0], rep=rep, seed=0)
+
+
+def test_sim_followup_takes_whole_valued_rep():
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    want = sim_followup(design, at=[5.0], stats=[np.mean], rep=2, seed=0).overall
+    for rep in (2.0, np.int64(2)):
+        got = sim_followup(design, at=[5.0], stats=[np.mean], rep=rep, seed=0).overall
+        assert {k: v.tobytes() for k, v in got.items()} == {k: v.tobytes() for k, v in want.items()}
 
 
 def test_sim_followup_needs_a_milestone(monkeypatch):
@@ -99,7 +121,7 @@ def test_count_milestone_is_reached_exactly(kind, column):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = sim_followup(design, at=[1, 7, 20], type=kind, by_group=True, rep=5, seed=3)
-    assert [row[column] for row in res.overall] == [1.0, 7.0, 20.0]
+    assert res.overall[column].tolist() == [1.0, 7.0, 20.0]
     assert res.n_unreached == 0
 
 
@@ -109,7 +131,7 @@ def test_milestone_beyond_trial_warns():
         res = sim_followup(design, at=[5, 61], type="sample", rep=3, seed=3)
     assert res.n_unreached == 3
     # the unreached milestone reports the end-of-horizon state: every subject
-    assert [row["subjects"] for row in res.overall] == [5.0, 60.0]
+    assert res.overall["subjects"].tolist() == [5.0, 60.0]
 
 
 @st.composite
@@ -227,13 +249,13 @@ def test_sim_followup_events_match_closed_form():
     at, rep = (10.0, 30.0, 60.0), 100
     res = sim_followup(design, at=at, by_group=True, rep=rep, seed=1)
     enrol = np.arange(50.0)[:, None] + (np.arange(2000) + 0.5) / 2000
-    overall = {row["at"]: row["event"] for row in res.overall}
+    overall = dict(zip(res.overall["at"], res.overall["event"]))
     for j, milestone in enumerate(at):
         mean = var = 0.0
         for g, r in rates.items():
             p = event_prob(pw.PweModel((r,)), MU, milestone - enrol).mean(axis=1)
-            row = next(x for x in res.by_group if x["group"] == g and x["at"] == milestone)
+            (row,) = np.flatnonzero((res.by_group["group"] == g) & (res.by_group["at"] == milestone))
             g_mean, g_var = 10.0 * p.sum(), 10.0 * np.sum(p * (1.0 - p))
-            assert abs(row["event"] - g_mean) <= 4.0 * np.sqrt(g_var / rep)
+            assert abs(res.by_group["event"][row] - g_mean) <= 4.0 * np.sqrt(g_var / rep)
             mean, var = mean + g_mean, var + g_var
         assert abs(overall[milestone] - mean) <= 4.0 * np.sqrt(var / rep)
