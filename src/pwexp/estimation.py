@@ -370,6 +370,8 @@ class FitConfig:
         object.__setattr__(self, "nbreak", nbreak)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        for name in ("max_set", "min_pt_tail"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.max_set < 1:
             raise ValueError("max_set must be >= 1")
         if self.min_pt_tail < 1:

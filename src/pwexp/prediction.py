@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, conditional_sample, sample
-from .errors import PwexpError
+from .errors import PwexpError, _whole
 from .estimation import FitResult
 from .resampling import BootFit
 from .rng import derive_rng
@@ -51,6 +51,7 @@ class AccrualPlan:
     monthly_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_remaining", _whole(self.n_remaining, "n_remaining"))
         if self.n_remaining < 0:
             raise ValueError("n_remaining must be nonnegative")
         if self.n_remaining == 0:
@@ -60,7 +61,7 @@ class AccrualPlan:
         if self.rate is not None and not 0 < self.rate < np.inf:
             raise ValueError("rate must be positive and finite")
         if self.monthly_counts is not None:
-            counts = tuple(int(c) for c in self.monthly_counts)
+            counts = tuple(_whole(c, "monthly counts") for c in self.monthly_counts)
             if any(c < 0 for c in counts):
                 raise ValueError("monthly counts must be nonnegative")
             if sum(counts) < self.n_remaining:
@@ -93,6 +94,7 @@ class TrialSnapshot:
 
     def __post_init__(self):
         enroll = np.asarray(self.enroll_times, dtype=float)
+        object.__setattr__(self, "n_events", _whole(self.n_events, "n_events"))
         if self.n_events < 0:
             raise ValueError("n_events must be nonnegative")
         if not (np.isfinite(self.analysis_time) and np.isfinite(enroll).all()):
@@ -445,8 +447,10 @@ def predict_events(
     ``seed`` alone: not on the block size, nor on ``threads``. The default
     horizon is the end of accrual plus the longest elapsed follow-up.
     """
+    n_each = _whole(n_each, "n_each")
     if n_each < 1:
         raise ValueError("n_each must be >= 1")
+    grid_points = _whole(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     event_sets, event_point = _param_sets(event_model)

@@ -72,10 +72,11 @@ class TrialDesign:
         if rate_form:
             if self.rand_rate is None or self.total_sample is None:
                 raise ValueError("rate-form enrollment needs both rand_rate and total_sample")
+            object.__setattr__(self, "total_sample", _whole(self.total_sample, "total_sample"))
             if not 0 < self.rand_rate < np.inf or self.total_sample < 0:
                 raise ValueError("rand_rate must be positive and finite, and total_sample nonnegative")
         else:
-            counts = tuple(int(c) for c in self.n_rand)
+            counts = tuple(_whole(c, "n_rand counts") for c in self.n_rand)
             if any(c < 0 for c in counts):
                 raise ValueError("n_rand counts must be nonnegative")
             object.__setattr__(self, "n_rand", counts)
@@ -94,7 +95,7 @@ class TrialDesign:
 
     @property
     def total(self) -> int:
-        return int(self.total_sample) if self.n_rand is None else int(sum(self.n_rand))
+        return self.total_sample if self.n_rand is None else sum(self.n_rand)
 
     def cell_model(self, group: str, stratum: str) -> ArmModel:
         """Distributions for one cell, with the drop_rate fallback applied."""
@@ -168,29 +169,29 @@ def _draw(d, n: int, rng: np.random.Generator) -> np.ndarray:
 def _allocate_exact(month: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exact allocation to weighted cells, month block by month block.
 
-    Each block tops every cell up to its cumulative quota (largest-remainder
-    rounding, ties broken at random), so no running total rises a whole
-    subject above its quota. A cell already above its quota gets nothing;
-    when the others' whole shares then overfill the block, the cells with
-    the smallest remainders give a subject back.
+    ``month`` must be nondecreasing (as :func:`_enrol_months` gives it), so
+    each month is one contiguous block. Each block tops every cell up to its
+    cumulative quota (largest-remainder rounding, ties broken at random), so
+    no running total rises a whole subject above its quota. A cell already
+    above its quota gets nothing; when the others' whole shares then
+    overfill the block, the cells with the smallest remainders give a
+    subject back.
     """
     w = weights / weights.sum()
     cell = np.empty(len(month), dtype=int)
     alloc = np.zeros(len(w))
-    done = 0
-    for m in np.unique(month):
-        block = np.flatnonzero(month == m)
-        need = w * (done + len(block)) - alloc
+    starts = np.flatnonzero(np.diff(month, prepend=-1.0))  # empty when there are no subjects
+    for lo, hi in zip(starts, [*starts[1:], len(month)]):
+        need = w * hi - alloc
         base = np.maximum(np.floor(need).astype(int), 0)
-        short = len(block) - base.sum()
+        short = hi - lo - base.sum()
         order = np.lexsort((rng.random(len(w)), -(need - base)))
         counts = base.copy()
         counts[order[:max(short, 0)]] += 1
         for _ in range(-short):
             counts[np.argmin(np.where(counts > 0, need - counts, np.inf))] -= 1
-        cell[block] = np.repeat(np.arange(len(w)), counts)[rng.permutation(len(block))]
+        cell[lo:hi] = np.repeat(np.arange(len(w)), counts)[rng.permutation(hi - lo)]
         alloc += counts
-        done += len(block)
     return cell
 
 
@@ -292,58 +293,38 @@ class SimFollowup:
     n_unreached: int
 
 
-def _resolve_cut(frame: TrialFrame, milestone: float, kind: str) -> tuple[float, bool]:
-    if kind == "calendar":
-        return float(milestone), True
-    if kind == "event":
-        k = max(int(round(milestone)), 1)
-        ev_abs = np.sort(frame.followT_abs[frame.event == 1])
-        if k <= len(ev_abs):
-            return float(ev_abs[k - 1]), True
-    else:  # "sample"
-        k = max(int(round(milestone)), 1)
-        rt = np.sort(frame.randT)
-        if k <= len(rt):
-            return float(rt[k - 1]), True
-    finite = frame.followT_abs[np.isfinite(frame.followT_abs)]
-    horizon = float(finite.max()) if len(finite) else float(frame.randT.max())
-    return horizon, False
-
-
-def _followup_times(frame: TrialFrame, keep: np.ndarray, cut: float, endpoints) -> np.ndarray:
-    parts = []
-    if "cut" in endpoints:
-        parts.append(cut - frame.randT[keep])
-    if "drop_out" in endpoints:
-        parts.append(frame.dropT[keep])
-    if "death" in endpoints:
-        parts.append(frame.deathT[keep])
-    if "event" in endpoints:
-        parts.append(frame.eventT[keep])
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.minimum(out, p)
-    return out
+_LATENT = {"drop_out": "dropT", "death": "deathT", "event": "eventT"}  # endpoint -> column
 
 
 def _followup_worker(payload):
-    """One replicate's (milestone x cell x value) array: cell 0 holds every
-    subject, then one cell per group; the values are the cut, the event and
-    subject counts, then the statistics."""
+    """One replicate's (milestone x cell x value) array and its count of
+    unreached milestones. Cell 0 holds every subject, then one per group; the
+    values are the cut, the event and subject counts, then the statistics."""
     design, seed, r, at, kind, endpoints, stats, group_names = payload
     frame = simulate_trial(design, derive_rng(seed, 20, r))
+    event = frame.event == 1
+    cuts, reached = np.array(at), np.ones(len(at), dtype=bool)
+    if kind != "calendar":
+        # the k-th sorted time, then the end of follow-up for k past the last;
+        # clipping before the cast keeps a huge milestone from overflowing
+        times = np.sort(frame.followT_abs[event] if kind == "event" else frame.randT)
+        finite = frame.followT_abs[np.isfinite(frame.followT_abs)]
+        end = finite.max() if len(finite) else frame.randT.max(initial=0.0)
+        k = np.clip(np.round(cuts), 1, len(times) + 1).astype(int)
+        cuts, reached = np.append(times, end)[k - 1], k <= len(times)
+    latent = np.minimum.reduce([np.full(len(frame), np.inf),
+                                *(getattr(frame, col) for e, col in _LATENT.items() if e in endpoints)])
     cells = [np.ones(len(frame), dtype=bool)] + [frame.group == g for g in group_names]
     out = np.empty((len(at), len(cells), 3 + len(stats)))
-    unreached = 0
-    for j, milestone in enumerate(at):
-        cut, ok = _resolve_cut(frame, milestone, kind)
-        unreached += 0 if ok else 1
+    for j, cut in enumerate(cuts):
+        enrolled = frame.randT <= cut
+        observed = enrolled & event & (frame.followT_abs <= cut)
+        fu = np.minimum(cut - frame.randT, latent) if "cut" in endpoints else latent
         for c, mask in enumerate(cells):
-            keep = mask & (frame.randT <= cut)
-            fu = _followup_times(frame, keep, cut, endpoints)
-            out[j, c, :3] = cut, np.sum(keep & (frame.event == 1) & (frame.followT_abs <= cut)), keep.sum()
-            out[j, c, 3:] = [f(fu) if len(fu) else np.nan for f in stats]
-    return out, unreached
+            kept = fu[mask & enrolled]  # in subject order
+            out[j, c, :3] = cut, np.sum(mask & observed), len(kept)
+            out[j, c, 3:] = [f(kept) if len(kept) else np.nan for f in stats]
+    return out, int(np.sum(~reached))
 
 
 def sim_followup(
@@ -359,15 +340,19 @@ def sim_followup(
 ) -> SimFollowup:
     """Simulate ``rep`` trials and summarize them at each milestone.
 
-    A milestone is a calendar time, a cumulative event count, or an
-    enrollment count depending on ``type``, and must be positive and finite
-    (checked, with ``type``, before any replicate runs); each replicate
-    resolves it to a cut time, truncates there, and reports the event
-    count, subject count, and the requested statistics of the follow-up
-    time (the time from randomization to the earliest endpoint in
-    ``follow_up_endpoint``).
-    Values are means over replicates. A replicate that never reaches a
-    milestone contributes its end-of-horizon state and triggers a warning.
+    A milestone is a calendar time, or the ``max(round(m), 1)``-th event or
+    enrollment (halves round to even), depending on ``type``. Each replicate
+    cuts at every milestone and reports the event count, subject count, and
+    the requested statistics of the follow-up time: the time from
+    randomization to the earliest endpoint in ``follow_up_endpoint``.
+    Values are means over replicates. Milestones (positive and finite),
+    ``type`` and the endpoints (a nonempty subset of ``FOLLOWUP_ENDPOINTS``)
+    are checked before any replicate runs. A replicate with fewer events (or
+    subjects) than a count milestone does not reach it and cuts at the end
+    of its follow-up instead; a warning counts such pairs. Per replicate,
+    one sort resolves every milestone and one minimum of the latent
+    endpoints serves them all, so a milestone costs O(subjects x (1 +
+    groups)) plus the statistics.
     With ``threads > 1`` the design and ``stats`` are sent to worker
     processes, so sampler hooks and statistics must be module-level
     callables; anything that cannot be pickled raises ``ValueError``.
@@ -380,7 +365,10 @@ def sim_followup(
         raise ValueError("milestones must be nonempty, positive and finite")
     if type not in FOLLOWUP_TYPES:
         raise ValueError(f"type must be one of {FOLLOWUP_TYPES}, got {type!r}")
-    bad = set(follow_up_endpoint) - set(FOLLOWUP_ENDPOINTS)
+    endpoints = tuple(follow_up_endpoint)
+    if not endpoints:
+        raise ValueError(f"follow_up_endpoint must name at least one of {FOLLOWUP_ENDPOINTS}")
+    bad = set(endpoints) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")
     if threads > 1:
@@ -393,7 +381,7 @@ def sim_followup(
             ) from exc
     group_names = [g for g, _ in design.groups] if by_group else []
     payloads = [
-        (design, seed, r, at, type, tuple(follow_up_endpoint), tuple(stats), group_names)
+        (design, seed, r, at, type, endpoints, tuple(stats), group_names)
         for r in range(rep)
     ]
     results = parallel_map(_followup_worker, payloads, threads)

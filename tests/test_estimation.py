@@ -666,6 +666,16 @@ class TestFitDispatch:
         nb = FitConfig(nbreak=nbreak).nbreak
         assert nb == 2 and type(nb) is int
 
+    @pytest.mark.parametrize("kw", [dict(max_set=2.5), dict(min_pt_tail=1.5)], ids=["max_set", "min_pt_tail"])
+    def test_search_counts_must_be_whole(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be a whole number"):
+            FitConfig(**kw)
+
+    def test_whole_valued_search_counts_are_ints(self):
+        cfg = FitConfig(max_set=np.int64(7), min_pt_tail=3.0)
+        assert (cfg.max_set, cfg.min_pt_tail) == (7, 3)
+        assert type(cfg.max_set) is int and type(cfg.min_pt_tail) is int
+
     def test_invalid_fixed_cleaned_with_warning(self):
         d = SurvSample([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 1, 1, 1])
         res = fit(d, FitConfig(fixed_breakpoints=(0.1, 2.5), seed=0))

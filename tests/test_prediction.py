@@ -62,6 +62,29 @@ def test_accrual_rate_must_be_positive_and_finite(rate):
         pw.AccrualPlan(n_remaining=10, rate=rate)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: pw.AccrualPlan(n_remaining=10.5, rate=1.0), "n_remaining"),
+    (lambda: pw.AccrualPlan(n_remaining=2, monthly_counts=(2.5,)), "monthly counts"),
+    (lambda: pw.TrialSnapshot(analysis_time=1.0, n_events=2.5, enroll_times=[]), "n_events"),
+    (lambda: pw.predict_events(CENSOR, None, pw.TrialSnapshot(1.0, 2, [0.5]), n_each=2.5, seed=0), "n_each"),
+    (lambda: pw.predict_events(CENSOR, None, pw.TrialSnapshot(1.0, 2, [0.5]), n_each=2, seed=0,
+                               grid_points=2.5), "grid_points"),
+], ids=["n_remaining", "monthly_counts", "n_events", "n_each", "grid_points"])
+def test_fractional_counts_rejected(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        make()
+
+
+def test_whole_valued_counts_are_ints():
+    plan = pw.AccrualPlan(n_remaining=np.int64(3), monthly_counts=(2.0, np.int32(1)))
+    snap = pw.TrialSnapshot(analysis_time=1.0, n_events=2.0, enroll_times=[0.5], accrual=plan)
+    assert (plan.n_remaining, plan.monthly_counts, snap.n_events) == (3, (2, 1), 2)
+    assert all(type(v) is int for v in (plan.n_remaining, *plan.monthly_counts, snap.n_events))
+    want = pw.predict_events(CENSOR, None, snap, n_each=2, seed=0, grid_points=4)
+    got = pw.predict_events(CENSOR, None, snap, n_each=np.int64(2), seed=0, grid_points=4.0)
+    _assert_same(got, want)
+
+
 @pytest.mark.parametrize("reasons", [
     [None, "drop_out", "cut", "cut", None, "drop_out"],
     [None, None, None, None, None, None],

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pwexp as pw
-from pwexp.simulation import _allocate_exact, sim_followup
+from pwexp.rng import derive_rng
+from pwexp.simulation import FOLLOWUP_TYPES, _allocate_exact, sim_followup
 from pwexp.survdata import SurvSample, cut_data
 
 from conftest import DROP_RATE, TRUE_BREAKS, TRUE_RATES
@@ -68,6 +70,23 @@ def test_rand_rate_must_be_positive_and_finite(rate):
         pw.TrialDesign(rand_rate=rate, total_sample=10, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
 
 
+@pytest.mark.parametrize("enrol, name", [
+    (dict(rand_rate=10, total_sample=25.5), "total_sample"),
+    (dict(n_rand=(2.7, 3)), "n_rand counts"),
+], ids=["total_sample", "n_rand"])
+def test_enrollment_counts_must_be_whole(enrol, name):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        pw.TrialDesign(**enrol, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+
+
+def test_whole_valued_enrollment_counts_are_ints():
+    ev = pw.ArmModel(event=pw.PweModel((0.1,)))
+    design = pw.TrialDesign(rand_rate=10, total_sample=np.int64(25), dists=ev)
+    assert type(design.total_sample) is int and design.total == 25
+    design = pw.TrialDesign(n_rand=(2.0, np.int32(3)), dists=ev)
+    assert design.n_rand == (2, 3) and all(type(c) is int for c in design.n_rand)
+
+
 @pytest.mark.parametrize("rep", [2.5, np.nan, "2"])
 def test_sim_followup_rep_must_be_whole(monkeypatch, rep):
     design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
@@ -104,6 +123,14 @@ def test_sim_followup_checks_type_before_any_trial(monkeypatch, threads):
     assert trials == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sim_followup_needs_an_endpoint(monkeypatch, threads):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match="follow_up_endpoint must name at least one"):
+        sim_followup(design, at=[5.0], rep=2, seed=0, follow_up_endpoint=(), threads=threads)
+
+
 @pytest.mark.parametrize("milestone", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["calendar", "event", "sample"])
 def test_sim_followup_rejects_non_finite_milestones(monkeypatch, kind, milestone):
@@ -111,6 +138,19 @@ def test_sim_followup_rejects_non_finite_milestones(monkeypatch, kind, milestone
     monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
     with pytest.raises(ValueError, match="positive and finite"):
         sim_followup(design, at=[5.0, milestone], type=kind, rep=2, seed=0)
+
+
+@pytest.mark.parametrize("kind", FOLLOWUP_TYPES)
+def test_sim_followup_of_an_empty_trial(kind):
+    # no subjects: nothing enrolled or observed at any cut, and a count
+    # milestone is never reached (the cut is then time 0)
+    design = pw.TrialDesign(rand_rate=10, total_sample=0, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = sim_followup(design, at=[1.0, 3.0], type=kind, stats=[np.mean], rep=2, seed=0)
+    assert res.overall["subjects"].tolist() == res.overall["event"].tolist() == [0.0, 0.0]
+    assert np.isnan(res.overall["mean"]).all()
+    assert res.n_unreached == (0 if kind == "calendar" else 4)
 
 
 @pytest.mark.parametrize("kind, column", [("event", "event"), ("sample", "subjects")])
@@ -259,3 +299,139 @@ def test_sim_followup_events_match_closed_form():
             assert abs(res.by_group["event"][row] - g_mean) <= 4.0 * np.sqrt(g_var / rep)
             mean, var = mean + g_mean, var + g_var
         assert abs(overall[milestone] - mean) <= 4.0 * np.sqrt(var / rep)
+
+
+def _never(n, rng):
+    return np.full(n, np.inf)
+
+
+# three groups in two strata, months with nobody enrolled, and a death model
+CELLS_DESIGN = pw.TrialDesign(
+    n_rand=(4, 0, 7, 3, 0, 9, 5),
+    groups=(("a", 1.0), ("b", 2.0), ("c", 1.5)),
+    strata=(("lo", 1.0), ("hi", 3.0)),
+    drop_rate=0.02,
+    dists={"a": pw.ArmModel(event=pw.PweModel((0.1,))),
+           "b": pw.ArmModel(event=pw.PweModel((0.05, 0.2), (4.0,)), death=pw.PweModel((0.01,))),
+           "c": pw.ArmModel(event=pw.PweModel((0.3,)))},
+)
+
+
+def test_simulate_trial_pinned_digest():
+    """SHA-256 of the groups, strata and event times of CELLS_DESIGN, taken
+    when exact allocation scanned every subject once per month: allocation
+    over month runs must draw the same numbers in the same order."""
+    frame = pw.simulate_trial(CELLS_DESIGN, seed=11)
+    h = hashlib.sha256()
+    h.update("|".join(frame.group).encode())
+    h.update("|".join(frame.stratum).encode())
+    h.update(frame.eventT.tobytes())
+    assert h.hexdigest() == "6efc5a8beb2e19f81418355a31bee5f1b149e76cebf37830e73cac698164882b"
+
+
+def _reference_cut(frame, milestone, kind):
+    """A milestone's cut, sorting the trial's times once per milestone."""
+    if kind == "calendar":
+        return float(milestone), True
+    if kind == "event":
+        k = max(int(round(milestone)), 1)
+        ev_abs = np.sort(frame.followT_abs[frame.event == 1])
+        if k <= len(ev_abs):
+            return float(ev_abs[k - 1]), True
+    else:
+        k = max(int(round(milestone)), 1)
+        rt = np.sort(frame.randT)
+        if k <= len(rt):
+            return float(rt[k - 1]), True
+    finite = frame.followT_abs[np.isfinite(frame.followT_abs)]
+    horizon = float(finite.max()) if len(finite) else float(frame.randT.max())
+    return horizon, False
+
+
+def _reference_times(frame, keep, cut, endpoints):
+    """Follow-up times of the kept subjects, one endpoint minimum per call."""
+    parts = []
+    if "cut" in endpoints:
+        parts.append(cut - frame.randT[keep])
+    if "drop_out" in endpoints:
+        parts.append(frame.dropT[keep])
+    if "death" in endpoints:
+        parts.append(frame.deathT[keep])
+    if "event" in endpoints:
+        parts.append(frame.eventT[keep])
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.minimum(out, p)
+    return out
+
+
+def _reference_followup(design, at, kind, stats, by_group, rep, seed, endpoints):
+    """sim_followup's tables, resolving each (milestone, cell) pair anew."""
+    group_names = [g for g, _ in design.groups] if by_group else []
+    outs, unreached = [], 0
+    for r in range(rep):
+        frame = pw.simulate_trial(design, derive_rng(seed, 20, r))
+        cells = [np.ones(len(frame), dtype=bool)] + [frame.group == g for g in group_names]
+        out = np.empty((len(at), len(cells), 3 + len(stats)))
+        for j, milestone in enumerate(at):
+            cut, ok = _reference_cut(frame, milestone, kind)
+            unreached += 0 if ok else 1
+            for c, mask in enumerate(cells):
+                keep = mask & (frame.randT <= cut)
+                fu = _reference_times(frame, keep, cut, endpoints)
+                out[j, c, :3] = cut, np.sum(keep & (frame.event == 1) & (frame.followT_abs <= cut)), keep.sum()
+                out[j, c, 3:] = [f(fu) if len(fu) else np.nan for f in stats]
+        outs.append(out)
+    mean = np.mean(outs, axis=0)
+    names = ["analysis_time", "event", "subjects", *(f.__name__ for f in stats)]
+    overall = {"at": np.array(at), **dict(zip(names, mean[:, 0].T))}
+    groups = None
+    if by_group:
+        rows = mean[:, 1:].transpose(1, 0, 2).reshape(-1, len(names))
+        groups = {"at": np.tile(at, len(group_names)), "group": np.repeat(group_names, len(at)),
+                  **dict(zip(names, rows.T))}
+    return overall, groups, unreached
+
+
+def _bytes(table):
+    return None if table is None else {k: np.asarray(v).tobytes() for k, v in table.items()}
+
+
+FOLLOWUP_DESIGNS = {
+    "one_cell": pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,)))),
+    "cells": CELLS_DESIGN,
+    "no_events": pw.TrialDesign(rand_rate=5, total_sample=20, groups=(("t", 1.0), ("c", 1.0)),
+                                dists=pw.ArmModel(event=_never, death=pw.PweModel((0.02,)))),
+}
+# an early cut that leaves groups empty, 0.4 (the first event or subject),
+# and counts no trial reaches
+REFERENCE_MILESTONES = [0.05, 0.4, 2.5, 7.0, 20.0, 2000.0, 1e6, 1e300]
+
+
+@pytest.mark.parametrize("kind", FOLLOWUP_TYPES)
+@pytest.mark.parametrize("name", FOLLOWUP_DESIGNS)
+def test_sim_followup_equals_reference(name, kind):
+    """Every table cell, bit for bit, against the per-(milestone, cell)
+    algorithm, for each endpoint set, with and without groups."""
+    design, stats = FOLLOWUP_DESIGNS[name], [np.mean, np.median, pw.prop_above(3.0)]
+    empty_group = False
+    for endpoints in [("cut", "drop_out", "death"), ("cut",), ("event",), ("cut", "drop_out", "death", "event")]:
+        for by_group in (False, True):
+            args = (design, REFERENCE_MILESTONES, kind, stats, by_group, 4, 5, endpoints)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                got = sim_followup(*args[:2], type=kind, stats=stats, by_group=by_group, rep=4, seed=5,
+                                   follow_up_endpoint=endpoints)
+            overall, groups, unreached = _reference_followup(*args)
+            assert got.n_unreached == unreached
+            assert _bytes(got.overall) == _bytes(overall)
+            assert _bytes(got.by_group) == _bytes(groups)
+            if by_group:
+                empty_group |= bool(np.isnan(got.by_group["mean"]).any())
+    # the cases the comparison is meant to cover do occur
+    if kind == "calendar":
+        assert empty_group
+    else:
+        assert unreached >= 4 * 3
+    if name == "no_events" and kind == "event":
+        assert unreached == 4 * len(REFERENCE_MILESTONES)
