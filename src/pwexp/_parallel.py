@@ -16,5 +16,5 @@ def parallel_map(fn: Callable, payloads: Sequence, threads: int) -> list:
     # pay for loading concurrent.futures and multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=int(threads)) as pool:
+    with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, payloads))

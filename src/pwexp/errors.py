@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its whole-number check."""
+"""Exception types shared across the package, and its whole-number checks."""
 
 
 class PwexpError(Exception):
@@ -36,3 +36,13 @@ def _whole(value, name: str) -> int:
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return whole
+
+
+def _threads(value) -> int:
+    """A worker count as an int; ``ValueError`` unless it is a whole number
+    of at least 1. Every function with a ``threads`` argument checks it here
+    before any work."""
+    threads = _whole(value, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {value!r}")
+    return threads

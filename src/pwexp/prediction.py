@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, conditional_sample, sample
-from .errors import PwexpError, _whole
+from .errors import PwexpError, _threads, _whole
 from .estimation import FitResult
 from .resampling import BootFit
 from .rng import derive_rng
@@ -453,6 +453,7 @@ def predict_events(
     grid_points = _whole(grid_points, "grid_points")
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    threads = _threads(threads)
     event_sets, event_point = _param_sets(event_model)
     censor_sets, censor_point = _param_sets(censor_model)
     if not event_sets:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import NoFeasibleModelError, _whole
+from .errors import NoFeasibleModelError, _threads, _whole
 from .estimation import FitConfig, FitResult, _check_sample, _fit_batch, fit, loglik
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
@@ -91,7 +91,7 @@ def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
 def _chunks(data: SurvSample, nsim: int, threads: int, *args) -> list:
     """One payload per worker: the sample's time and event columns only,
     ``args``, and a contiguous run of replicate numbers."""
-    runs = np.array_split(np.arange(nsim), max(1, min(int(threads), nsim)))
+    runs = np.array_split(np.arange(nsim), min(threads, nsim))
     return [(data.time, data.event, *args, run) for run in runs]
 
 
@@ -126,6 +126,7 @@ def boot_fit(
     nsim = _whole(nsim, "nsim")
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
+    threads = _threads(threads)
     base = fit(data, config)
     out = [r for chunk in parallel_map(_boot_chunk, _chunks(data, nsim, threads, config, seed), threads)
            for r in chunk]
@@ -226,6 +227,7 @@ def cv_loglik(
     nsim = _whole(nsim, "nsim")
     if nsim < 1:
         raise ValueError("nsim must be >= 1")
+    threads = _threads(threads)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     if data.n_events < config.nbreak + 2:

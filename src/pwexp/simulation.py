@@ -10,7 +10,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, sample as pwe_sample
-from .errors import _whole
+from .errors import _threads, _whole
 from .rng import derive_rng
 from .survdata import SurvSample, write_table
 
@@ -82,8 +82,10 @@ class TrialDesign:
             object.__setattr__(self, "n_rand", counts)
         for name, pairs in (("groups", self.groups), ("strata", self.strata)):
             pairs = tuple((str(n), float(w)) for n, w in pairs)
-            if not pairs or any(w <= 0 for _, w in pairs):
-                raise ValueError(f"{name} must be nonempty with positive weights")
+            if not pairs or not all(0 < w < np.inf for _, w in pairs):
+                raise ValueError(f"{name} must be nonempty with positive, finite weights")
+            if len({n for n, _ in pairs}) < len(pairs):
+                raise ValueError(f"{name} names must be distinct, got {[n for n, _ in pairs]}")
             object.__setattr__(self, name, pairs)
         if self.drop_rate is not None and not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop_rate must lie in [0, 1)")
@@ -176,23 +178,39 @@ def _allocate_exact(month: np.ndarray, weights: np.ndarray, rng: np.random.Gener
     above its quota gets nothing; when the others' whole shares then
     overfill the block, the cells with the smallest remainders give a
     subject back.
+
+    The month loop only draws: ``rng.random(cells)`` for the tie-break,
+    then ``rng.permutation(block size)`` to shuffle the block's labels.
+    That draw order is a contract, pinned by
+    ``test_simulate_trial_pinned_digest`` and by the oracle in
+    ``test_allocate_exact_rounds_every_month_quota``. The rounding runs on
+    Python floats with the IEEE operations of an array form (owed minus
+    given, floored and clipped at 0; remainder descending, then the uniform,
+    then the cell index; the first smallest ``owed - count`` gives back),
+    and one gather places every block's shuffled labels.
     """
-    w = weights / weights.sum()
-    cell = np.empty(len(month), dtype=int)
-    alloc = np.zeros(len(w))
-    starts = np.flatnonzero(np.diff(month, prepend=-1.0))  # empty when there are no subjects
-    for lo, hi in zip(starts, [*starts[1:], len(month)]):
-        need = w * hi - alloc
-        base = np.maximum(np.floor(need).astype(int), 0)
-        short = hi - lo - base.sum()
-        order = np.lexsort((rng.random(len(w)), -(need - base)))
-        counts = base.copy()
-        counts[order[:max(short, 0)]] += 1
+    w = (weights / weights.sum()).tolist()
+    n = len(w)
+    starts = np.flatnonzero(np.diff(month, prepend=-1.0)).tolist()  # empty when there are no subjects
+    ends = [*starts[1:], len(month)]
+    alloc = [0] * n
+    counts, perms = [], []
+    for lo, hi in zip(starts, ends):
+        u = rng.random(n).tolist()
+        need = [wc * hi - a for wc, a in zip(w, alloc)]
+        got = [max(int(x), 0) for x in need]  # int() truncates, which the clip makes a floor
+        short = hi - lo - sum(got)
+        for c in sorted(range(n), key=lambda c: (-(need[c] - got[c]), u[c]))[:max(short, 0)]:
+            got[c] += 1
         for _ in range(-short):
-            counts[np.argmin(np.where(counts > 0, need - counts, np.inf))] -= 1
-        cell[lo:hi] = np.repeat(np.arange(len(w)), counts)[rng.permutation(hi - lo)]
-        alloc += counts
-    return cell
+            got[min(range(n), key=lambda c: need[c] - got[c] if got[c] > 0 else np.inf)] -= 1
+        perms.append(rng.permutation(hi - lo))
+        counts += got
+        alloc = [a + g for a, g in zip(alloc, got)]
+    if not perms:
+        return np.empty(0, dtype=int)
+    labels = np.repeat(np.tile(np.arange(n), len(perms)), counts)
+    return labels[np.concatenate(perms) + np.repeat(starts, np.subtract(ends, starts))]
 
 
 def _enrol_months(n: int, rate: float | None, counts: Sequence[int] | None) -> np.ndarray:
@@ -346,13 +364,14 @@ def sim_followup(
     the requested statistics of the follow-up time: the time from
     randomization to the earliest endpoint in ``follow_up_endpoint``.
     Values are means over replicates. Milestones (positive and finite),
-    ``type`` and the endpoints (a nonempty subset of ``FOLLOWUP_ENDPOINTS``)
-    are checked before any replicate runs. A replicate with fewer events (or
-    subjects) than a count milestone does not reach it and cuts at the end
-    of its follow-up instead; a warning counts such pairs. Per replicate,
-    one sort resolves every milestone and one minimum of the latent
-    endpoints serves them all, so a milestone costs O(subjects x (1 +
-    groups)) plus the statistics.
+    ``type``, the endpoints (a nonempty sequence of names from
+    ``FOLLOWUP_ENDPOINTS``, not a bare string) and ``threads`` (a whole
+    number >= 1) are checked before any replicate runs. A replicate with
+    fewer events (or subjects) than a count milestone does not reach it and
+    cuts at the end of its follow-up instead; a warning counts such pairs.
+    Per replicate, one sort resolves every milestone and one minimum of the
+    latent endpoints serves them all, so a milestone costs O(subjects x (1
+    + groups)) plus the statistics.
     With ``threads > 1`` the design and ``stats`` are sent to worker
     processes, so sampler hooks and statistics must be module-level
     callables; anything that cannot be pickled raises ``ValueError``.
@@ -360,11 +379,15 @@ def sim_followup(
     rep = _whole(rep, "rep")
     if rep < 1:
         raise ValueError("rep must be >= 1")
+    threads = _threads(threads)
     at = [float(a) for a in at]
     if not at or not all(0 < a < np.inf for a in at):
         raise ValueError("milestones must be nonempty, positive and finite")
     if type not in FOLLOWUP_TYPES:
         raise ValueError(f"type must be one of {FOLLOWUP_TYPES}, got {type!r}")
+    if isinstance(follow_up_endpoint, str):
+        raise ValueError("follow_up_endpoint must be a sequence of endpoint names, "
+                         f"such as ({follow_up_endpoint!r},), not a bare string")
     endpoints = tuple(follow_up_endpoint)
     if not endpoints:
         raise ValueError(f"follow_up_endpoint must name at least one of {FOLLOWUP_ENDPOINTS}")

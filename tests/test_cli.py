@@ -364,6 +364,25 @@ def test_followup_rejects_no_milestones(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["boot", "cv", "predict", "followup"])
+def test_threads_below_one_exit_1(workdir, cut_sample, tmp_path, capsys, cmd):
+    data = ["--in", str(workdir / "cut.csv")]
+    fit_flags = ["--nbreak", "1", "--optimizer", "bfs", "--seed", str(SEED)]
+    model = tmp_path / "fit.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(model)
+    argv = {
+        "boot": ["boot", *data, *fit_flags, "--nsim", "2"],
+        "cv": ["cv", *data, *fit_flags, "--nsim", "2"],
+        "predict": ["predict", *data, "--model", str(model), "--analysis_time", str(CUT),
+                    "--n_each", "5", "--eval_at", "22", "--seed", str(SEED)],
+        "followup": ["followup", *DESIGN_ARGS, "--at", "10", "--rep", "2"],
+    }[cmd]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--threads", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pwexp {cmd}: error: threads must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("at, kind", [("nan", "calendar"), ("inf", "event"), ("10,nan", "sample")])
 def test_followup_rejects_non_finite_milestones(tmp_path, capsys, at, kind):
     out = tmp_path / "followup.csv"

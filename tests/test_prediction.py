@@ -387,6 +387,16 @@ class TestCurves:
     def test_threads_do_not_change_result(self, snapshot):
         _assert_same(_predict(snapshot, threads=1), _predict(snapshot, threads=2))
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, np.nan, "2"])
+    def test_threads_checked_before_any_draw(self, monkeypatch, snapshot, threads):
+        monkeypatch.setattr(pr, "parallel_map", lambda *a: pytest.fail("draws ran"))
+        monkeypatch.setattr(pr, "expected_events", lambda *a: pytest.fail("curves ran"))
+        with pytest.raises(ValueError, match="threads must be"):
+            _predict(snapshot, threads=threads)
+
+    def test_whole_valued_threads_accepted(self, snapshot):
+        _assert_same(_predict(snapshot), _predict(snapshot, threads=np.int64(1)))
+
     def test_matches_per_subject_loop(self, snapshot):
         """The blocked draws equal a per-subject loop over the same streams,
         counted with ``np.add.at``."""

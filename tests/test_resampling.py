@@ -177,6 +177,23 @@ class TestNsimArgument:
             assert res.nsim == 3 and type(res.nsim) is int
 
 
+@pytest.mark.parametrize("resample", [boot_fit, cv_loglik])
+class TestThreadsArgument:
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, np.nan, "2"])
+    def test_rejected_before_any_fit(self, monkeypatch, small_train, resample, threads):
+        monkeypatch.setattr("pwexp.resampling.fit", lambda *a: pytest.fail("a fit ran"))
+        monkeypatch.setattr("pwexp.resampling.parallel_map", lambda *a: pytest.fail("replicates ran"))
+        with pytest.raises(ValueError, match="threads must be"):
+            resample(small_train, FitConfig(nbreak=0, seed=0), nsim=2, seed=1, threads=threads)
+
+    def test_whole_valued_threads_accepted(self, small_train, resample):
+        cfg = FitConfig(nbreak=0, seed=0)
+        result = lambda r: r.to_dict() if isinstance(r, BootFit) else r.values.tobytes()
+        want = result(resample(small_train, cfg, nsim=2, seed=1))
+        for threads in (1.0, np.int64(1)):
+            assert result(resample(small_train, cfg, nsim=2, seed=1, threads=threads)) == want
+
+
 class TestCvLoglik:
     def test_vector_length(self, small_train):
         cv = cv_loglik(small_train, FitConfig(nbreak=0, seed=0), nsim=12, seed=4)

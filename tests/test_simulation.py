@@ -32,6 +32,14 @@ class TestSimFollowupThreads:
         with pytest.raises(ValueError, match="module-level callables"):
             sim_followup(design, at=[5.0], stats=[lambda x: 0.0], rep=2, seed=0, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, np.nan, "2"])
+    def test_bad_threads_rejected_before_any_trial(self, monkeypatch, threads):
+        design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+        monkeypatch.setattr("pwexp.simulation.simulate_trial", lambda *a: pytest.fail("a trial ran"))
+        monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+        with pytest.raises(ValueError, match="threads must be"):
+            sim_followup(design, at=[5.0], rep=2, seed=0, threads=threads)
+
     def test_lambda_hook_runs_serially(self):
         design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=lambda n, rng: rng.exponential(10.0, n)))
         res = sim_followup(design, at=[5.0], stats=[np.mean], rep=2, seed=0, threads=1)
@@ -77,6 +85,24 @@ def test_rand_rate_must_be_positive_and_finite(rate):
 def test_enrollment_counts_must_be_whole(enrol, name):
     with pytest.raises(ValueError, match=f"{name} must be a whole number"):
         pw.TrialDesign(**enrol, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+
+
+@pytest.mark.parametrize("which", ["groups", "strata"])
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0, 0.0])
+def test_cell_weights_must_be_positive_and_finite(which, weight):
+    pairs = (("a", 1.0), ("b", weight))
+    with pytest.raises(ValueError, match=f"{which} must be nonempty with positive, finite weights"):
+        pw.TrialDesign(rand_rate=10, total_sample=10, **{which: pairs},
+                       dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+
+
+@pytest.mark.parametrize("which", ["groups", "strata"])
+def test_cell_names_must_be_distinct(which):
+    # "1" and 1 name the same column value once written
+    pairs = (("a", 1.0), ("1", 2.0), (1, 1.0))
+    with pytest.raises(ValueError, match=f"{which} names must be distinct"):
+        pw.TrialDesign(rand_rate=10, total_sample=10, **{which: pairs},
+                       dists=pw.ArmModel(event=pw.PweModel((0.1,))))
 
 
 def test_whole_valued_enrollment_counts_are_ints():
@@ -129,6 +155,13 @@ def test_sim_followup_needs_an_endpoint(monkeypatch, threads):
     monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
     with pytest.raises(ValueError, match="follow_up_endpoint must name at least one"):
         sim_followup(design, at=[5.0], rep=2, seed=0, follow_up_endpoint=(), threads=threads)
+
+
+def test_sim_followup_rejects_a_bare_endpoint_string(monkeypatch):
+    design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
+    with pytest.raises(ValueError, match=r"sequence of endpoint names, such as \('event',\)"):
+        sim_followup(design, at=[5.0], rep=2, seed=0, follow_up_endpoint="event")
 
 
 @pytest.mark.parametrize("milestone", [np.nan, np.inf, -np.inf])
@@ -192,6 +225,27 @@ def test_quantile_cdf_round_trip(m, p):
     assert np.allclose(pw.quantile(m, pw.cdf(m, t)), t, rtol=1e-9, atol=1e-12)
 
 
+def _allocate_exact_oracle(month, weights, rng):
+    """Exact allocation as an array recurrence per month block: the rounding
+    and the draw order that :func:`_allocate_exact` must reproduce."""
+    w = weights / weights.sum()
+    cell = np.empty(len(month), dtype=int)
+    alloc = np.zeros(len(w))
+    starts = np.flatnonzero(np.diff(month, prepend=-1.0))
+    for lo, hi in zip(starts, [*starts[1:], len(month)]):
+        need = w * hi - alloc
+        base = np.maximum(np.floor(need).astype(int), 0)
+        short = hi - lo - base.sum()
+        order = np.lexsort((rng.random(len(w)), -(need - base)))
+        counts = base.copy()
+        counts[order[:max(short, 0)]] += 1
+        for _ in range(-short):
+            counts[np.argmin(np.where(counts > 0, need - counts, np.inf))] -= 1
+        cell[lo:hi] = np.repeat(np.arange(len(w)), counts)[rng.permutation(hi - lo)]
+        alloc += counts
+    return cell
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(1, 30), min_size=1, max_size=12),
@@ -201,14 +255,22 @@ def test_quantile_cdf_round_trip(m, p):
 # three cells each owed just over one subject in a month of two, while two
 # small cells sit above their quota
 @example(per_month=[1, 1, 27, 30, 30, 2], weights=[7.0, 7.0, 7.0, 0.109375, 0.109375], seed=0)
+# a give-back where the first smallest remainder is not the largest count
+@example(per_month=[4, 4, 5, 5, 3], weights=[1.0, 3.0, 1.0, 0.125, 0.125], seed=0)
 def test_allocate_exact_rounds_every_month_quota(per_month, weights, seed):
     # each month hands out exactly its subjects by largest-remainder
     # rounding of what every cell is owed: the floor or the ceiling of it
     # when the floors fit in the month, at most the floor when they do not
     month = np.repeat(np.arange(len(per_month), dtype=float), per_month)
     w = np.array(weights)
-    cell = _allocate_exact(month, w, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    cell = _allocate_exact(month, w, rng)
     assert cell.shape == month.shape and set(cell.tolist()) <= set(range(len(w)))
+    # the same cells from the same draws, made in the same order
+    oracle_rng = np.random.default_rng(seed)
+    want = _allocate_exact_oracle(month, w, oracle_rng)
+    assert cell.dtype == want.dtype and np.array_equal(cell, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
     quota = np.outer(np.cumsum(per_month), w / w.sum())
     alloc = np.zeros(len(w))
     for k, size in enumerate(per_month):
