@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _whole
+
 __all__ = [
     "PweModel",
     "hazard",
@@ -49,17 +51,13 @@ class PweModel:
 
     def __post_init__(self):
         rates = tuple(float(r) for r in np.atleast_1d(np.asarray(self.rates, dtype=float)))
-        breaks = tuple(float(b) for b in np.asarray(self.breakpoints, dtype=float).ravel())
+        breaks = tuple(_check_breakpoints(self.breakpoints).tolist())
         if len(rates) != len(breaks) + 1:
             raise ValueError(
                 f"need len(rates) == len(breakpoints) + 1, got {len(rates)} and {len(breaks)}"
             )
         if not all(np.isfinite(r) and r > 0.0 for r in rates):
             raise ValueError("hazard rates must be strictly positive and finite")
-        if any(not np.isfinite(b) or b <= 0.0 for b in breaks):
-            raise ValueError("breakpoints must be strictly positive and finite")
-        if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "breakpoints", breaks)
 
@@ -87,6 +85,16 @@ class PweModel:
         # many pieces)
         lengths = np.diff(self._lower)
         return np.concatenate(([0.0], np.cumsum(self._rates_arr[:-1] * lengths)))
+
+
+def _check_breakpoints(breakpoints) -> np.ndarray:
+    """The change-points as a flat float array; ``ValueError`` unless strictly
+    increasing, positive and finite. Models, fits and tallies all check here."""
+    b = np.asarray(breakpoints, dtype=float).ravel()
+    bounds = [0.0, *b.tolist(), np.inf]  # a NaN fails every comparison
+    if not all(lo < hi for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError("breakpoints must be strictly increasing, positive, finite")
+    return b
 
 
 def _prepare(t) -> tuple[np.ndarray, bool]:
@@ -214,35 +222,11 @@ def sample(m: PweModel, n: int, rng: np.random.Generator) -> np.ndarray:
     ``quantile(m, rng.random(n))``, without its checks, which uniforms in
     [0, 1) cannot fail. Cost per draw is one uniform, a logarithm, one
     comparison pass per change-point (binary search above ``_COUNT_MAX``)
-    and three table lookups.
+    and three table lookups. ``n`` must be a whole number >= 0; anything
+    else raises ``ValueError`` before any draw.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    log_surv = _log_surv(rng.random(int(n)))
+    log_surv = _log_surv(rng.random(_whole(n, "n", 0)))
     return _invert_cumhaz(m, np.negative(log_surv, out=log_surv))
-
-
-def conditional_survival(m: PweModel, t, given: float):
-    """Survival of T given T > ``given``: S(t) / S(given), for t >= given."""
-    tv, scalar = _prepare(t)
-    g = float(given)
-    if g < 0.0:
-        raise ValueError("conditioning time must be nonnegative")
-    if np.any(tv < g):
-        raise ValueError("t must be >= the conditioning time")
-    hg = cumulative_hazard(m, g)
-    out = np.exp(hg - np.atleast_1d(cumulative_hazard(m, tv)))
-    return _finish(out, scalar)
-
-
-def conditional_cdf(m: PweModel, t, given: float):
-    """1 - S(t)/S(given) for t >= given."""
-    tv, scalar = _prepare(t)
-    out = 1.0 - np.atleast_1d(conditional_survival(m, tv, given))
-    return _finish(out, scalar)
-
-
-_TINY = np.finfo(float).tiny
 
 
 def _check_given(given) -> np.ndarray:
@@ -250,6 +234,25 @@ def _check_given(given) -> np.ndarray:
     if np.any(g < 0.0):
         raise ValueError("conditioning time must be nonnegative")
     return g
+
+
+def conditional_survival(m: PweModel, t, given: float):
+    """Survival of T given T > ``given``: S(t) / S(given), for t >= given >= 0."""
+    tv, scalar = _prepare(t)
+    g = _check_given(given)
+    if np.any(tv < g):
+        raise ValueError("t must be >= the conditioning time")
+    hg = cumulative_hazard(m, g)
+    out = np.exp(hg - np.atleast_1d(cumulative_hazard(m, tv)))
+    return _finish(out, scalar and g.ndim == 0)
+
+
+def conditional_cdf(m: PweModel, t, given: float):
+    """1 - S(t)/S(given) for t >= given."""
+    return 1.0 - conditional_survival(m, t, given)
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _conditional_inverse(m: PweModel, log_surv: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -291,7 +294,8 @@ def conditional_sample(m: PweModel, n: int, given, rng: np.random.Generator) -> 
       draws of row ``i`` of the ``(s, n // s)`` result, which is bit for
       bit the 1-D form with ``np.repeat(given, n // s)``, reshaped.
 
-    A negative entry raises ``ValueError``. Takes one uniform per draw, in
+    ``n`` is checked as in :func:`sample`, and a negative entry of
+    ``given`` raises ``ValueError``. Takes one uniform per draw, in
     order: with ``u = rng.random(n)`` the draws are bit for bit
     ``conditional_quantile(m, np.maximum(u, tiny), given)``. The smallest
     normal float ``tiny`` stands in for U == 0, which keeps a draw at
@@ -303,10 +307,9 @@ def conditional_sample(m: PweModel, n: int, given, rng: np.random.Generator) -> 
     ``given``: once per draw in the 1-D form, once per subject in the
     column form.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _whole(n, "n", 0)
     g = _check_given(given)
-    shape = int(n)
+    shape = n
     if g.ndim == 2:
         s = len(g)
         shape = (s, n // s if s else 0)

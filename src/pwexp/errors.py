@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its whole-number checks."""
+"""Exception types shared across the package, and its whole-number check."""
 
 
 class PwexpError(Exception):
@@ -26,23 +26,18 @@ class NoFeasibleModelError(PwexpError):
     """
 
 
-def _whole(value, name: str) -> int:
+def _whole(value, name: str, least: int) -> int:
     """``value`` as an int; ``ValueError`` unless it is a whole number (an
-    int, a numpy integer or a whole-valued float)."""
+    int, a numpy integer or a whole-valued float) of at least ``least``.
+
+    This is the one check of every count, sample size, worker count and
+    integer seed in the package, made before any work."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if whole < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return whole
-
-
-def _threads(value) -> int:
-    """A worker count as an int; ``ValueError`` unless it is a whole number
-    of at least 1. Every function with a ``threads`` argument checks it here
-    before any work."""
-    threads = _whole(value, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {value!r}")
-    return threads

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import distribution as dist
-from .distribution import PweModel
+from .distribution import PweModel, _check_breakpoints
 from .errors import EmptyPieceError, NoFeasibleModelError, _whole
 from .rng import derive_rng
 from .survdata import SurvSample, _Sorted
@@ -62,13 +62,6 @@ def _check_sample(data: SurvSample, need_event: bool = True):
         raise ValueError("estimation requires finite follow-up times (cut the data first)")
     if need_event and data.n_events == 0:
         raise NoFeasibleModelError("estimation requires at least one observed event")
-
-
-def _check_breakpoints(breakpoints) -> np.ndarray:
-    b = np.asarray(breakpoints, dtype=float).ravel()
-    if len(b) and (np.any(~np.isfinite(b)) or np.any(b <= 0.0) or np.any(np.diff(b) <= 0.0)):
-        raise ValueError("breakpoints must be strictly increasing, positive, finite")
-    return b
 
 
 def piece_tally(breakpoints, data: SurvSample) -> PieceTally:
@@ -257,13 +250,21 @@ def _best_row(B: np.ndarray, ll: np.ndarray) -> int:
 
 
 def _candidate_values(view: _Sorted, config: "FitConfig") -> np.ndarray:
-    """Distinct event times eligible as change-point candidates."""
+    """Distinct event times eligible as change-point candidates: outside
+    ``exclude_int`` and not fixed. :class:`NoFeasibleModelError` when fewer
+    are left than the config's free change-points."""
     cands = view.event_times
     if config.exclude_int is not None:
         lo, hi = config.exclude_int
         cands = cands[(cands < lo) | (cands >= hi)]
     if config.fixed_breakpoints:
         cands = cands[~np.isin(cands, np.asarray(config.fixed_breakpoints))]
+    free = config.nbreak - len(config.fixed_breakpoints)
+    if len(cands) < free:
+        raise NoFeasibleModelError(
+            f"need at least {free} candidate event times outside exclude_int and the fixed "
+            f"change-points, got {len(cands)}"
+        )
     return cands
 
 
@@ -364,18 +365,12 @@ class FitConfig:
         fixed = tuple(float(b) for b in np.sort(np.asarray(self.fixed_breakpoints, dtype=float).ravel()))
         _check_breakpoints(fixed)
         object.__setattr__(self, "fixed_breakpoints", fixed)
-        nbreak = len(fixed) if self.nbreak is None else _whole(self.nbreak, "nbreak")
-        if nbreak < len(fixed):
-            raise ValueError("nbreak must be at least the number of fixed breakpoints")
+        nbreak = len(fixed) if self.nbreak is None else _whole(self.nbreak, "nbreak", len(fixed))
         object.__setattr__(self, "nbreak", nbreak)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        for name in ("max_set", "min_pt_tail"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.max_set < 1:
-            raise ValueError("max_set must be >= 1")
-        if self.min_pt_tail < 1:
-            raise ValueError("min_pt_tail must be >= 1")
+        for name, least in (("max_set", 1), ("min_pt_tail", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         if self.exclude_int is not None:
             lo, hi = (float(v) for v in self.exclude_int)
             if not lo < hi:
@@ -383,7 +378,6 @@ class FitConfig:
             object.__setattr__(self, "exclude_int", (lo, hi))
             if any(lo <= b < hi for b in fixed):
                 raise ValueError("a fixed breakpoint lies inside exclude_int")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +394,19 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     log-likelihood (the closed-form MLE) and skips infeasible combinations
     (empty piece, thin tail); excluded event times are never candidates.
 
-    Raises :class:`NoFeasibleModelError` when the sample has no event or no
-    more distinct event times than change-points, or when no combination is
-    feasible; ``ValueError`` when no change-point is left to search.
+    Raises :class:`NoFeasibleModelError` when the sample has no event, no
+    more distinct event times than change-points or fewer candidates than
+    free change-points, or when no combination is feasible; ``ValueError``
+    when no change-point is left to search.
     """
     _check_sample(data)
     free = config.nbreak - len(config.fixed_breakpoints)
     if free < 1:
         raise ValueError("fit_bfs requires at least one unknown change-point")
     view = data._sorted
-    cands = _candidate_values(view, config)
     if len(view.event_times) <= config.nbreak:
         raise NoFeasibleModelError("need more distinct event times than change-points")
-    if len(cands) < free:
-        raise NoFeasibleModelError("not enough candidate event times outside the excluded interval")
+    cands = _candidate_values(view, config)
     combos = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
     B, i, feasible = _search(view, combos, config, "change-point combination")
     res = mle_given_breakpoints(B[i], data)
@@ -592,7 +585,10 @@ def fit_segmented_line(
     converged start by residual sum of squares wins (the earliest on a tie)
     and its standard errors, slope and sum of squares come from an explicit
     least-squares fit. ``converged=False`` means no start converged.
+    ``npsi``, the number of free breaks, must be a whole number >= 0;
+    anything else raises ``ValueError`` before any fit.
     """
+    npsi = _whole(npsi, "npsi", 0)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     order = np.argsort(x)
@@ -814,10 +810,7 @@ class _OlsSearch:
             reason = "segmented solution violated feasibility constraints"
         else:
             reason = "segmented regression did not converge"
-        cands = _candidate_values(view, config)
-        if len(cands) < free:
-            raise NoFeasibleModelError("not enough candidates for the OLS grid fallback")
-        rows = _candidate_combos(cands, free, config.max_set, self.rng)
+        rows = _candidate_combos(_candidate_values(view, config), free, config.max_set, self.rng)
         score = lambda B: -_screen_sse(self.x, self.y, B)
         B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
         return B[i], [float(p) for p in rows[i]], None, [f"{reason}; grid fallback used"]
@@ -836,8 +829,6 @@ class _OlsSearch:
         config, view = self.config, data._sorted
         _, psi, se, warnings = self.breakpoints(seg, data)
         cands = _candidate_values(view, config)
-        if len(cands) < self.free:
-            raise NoFeasibleModelError("not enough candidate event times for the hybrid search")
         spacing = (cands[-1] - cands[0]) / max(len(cands) - 1, 1) if len(cands) > 1 else 1.0
         rng = derive_rng(config.seed, 303)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, conditional_sample, sample
-from .errors import PwexpError, _threads, _whole
+from .errors import PwexpError, _whole
 from .estimation import FitResult
 from .resampling import BootFit
 from .rng import derive_rng
@@ -44,30 +44,25 @@ __all__ = [
 class AccrualPlan:
     """Future enrollment: ``n_remaining`` subjects at a monthly ``rate`` or
     following per-month ``monthly_counts`` (months count from the analysis
-    time). Enrollment is uniform within each month."""
+    time). Enrollment is uniform within each month. A plan for no subjects
+    needs neither, but whatever is given is checked."""
 
     n_remaining: int
     rate: float | None = None
     monthly_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_remaining", _whole(self.n_remaining, "n_remaining"))
-        if self.n_remaining < 0:
-            raise ValueError("n_remaining must be nonnegative")
-        if self.n_remaining == 0:
-            return
-        if (self.rate is None) == (self.monthly_counts is None):
+        n = _whole(self.n_remaining, "n_remaining", 0)
+        object.__setattr__(self, "n_remaining", n)
+        forms = (self.rate is not None) + (self.monthly_counts is not None)
+        if forms == 2 or (n and not forms):
             raise ValueError("specify exactly one of rate or monthly_counts")
         if self.rate is not None and not 0 < self.rate < np.inf:
             raise ValueError("rate must be positive and finite")
         if self.monthly_counts is not None:
-            counts = tuple(_whole(c, "monthly counts") for c in self.monthly_counts)
-            if any(c < 0 for c in counts):
-                raise ValueError("monthly counts must be nonnegative")
-            if sum(counts) < self.n_remaining:
-                raise PwexpError(
-                    f"accrual plan provides {sum(counts)} slots for {self.n_remaining} remaining subjects"
-                )
+            counts = tuple(_whole(c, "monthly counts", 0) for c in self.monthly_counts)
+            if sum(counts) < n:
+                raise ValueError(f"accrual plan provides {sum(counts)} slots for {n} remaining subjects")
             object.__setattr__(self, "monthly_counts", counts)
 
     @property
@@ -94,9 +89,7 @@ class TrialSnapshot:
 
     def __post_init__(self):
         enroll = np.asarray(self.enroll_times, dtype=float)
-        object.__setattr__(self, "n_events", _whole(self.n_events, "n_events"))
-        if self.n_events < 0:
-            raise ValueError("n_events must be nonnegative")
+        object.__setattr__(self, "n_events", _whole(self.n_events, "n_events", 0))
         if not (np.isfinite(self.analysis_time) and np.isfinite(enroll).all()):
             raise ValueError("analysis_time and enroll_times must be finite")
         if np.any(enroll > self.analysis_time):
@@ -447,13 +440,10 @@ def predict_events(
     ``seed`` alone: not on the block size, nor on ``threads``. The default
     horizon is the end of accrual plus the longest elapsed follow-up.
     """
-    n_each = _whole(n_each, "n_each")
-    if n_each < 1:
-        raise ValueError("n_each must be >= 1")
-    grid_points = _whole(grid_points, "grid_points")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    threads = _threads(threads)
+    n_each = _whole(n_each, "n_each", 1)
+    seed = _whole(seed, "seed", 0)
+    grid_points = _whole(grid_points, "grid_points", 2)
+    threads = _whole(threads, "threads", 1)
     event_sets, event_point = _param_sets(event_model)
     censor_sets, censor_point = _param_sets(censor_model)
     if not event_sets:

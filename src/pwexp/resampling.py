@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import NoFeasibleModelError, _threads, _whole
+from .errors import NoFeasibleModelError, _whole
 from .estimation import FitConfig, FitResult, _check_sample, _fit_batch, fit, loglik
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
@@ -123,10 +123,9 @@ def boot_fit(
     :class:`NoFeasibleModelError`, as does an infeasible fit on the original
     data. Any other exception propagates.
     """
-    nsim = _whole(nsim, "nsim")
-    if nsim < 1:
-        raise ValueError("nsim must be >= 1")
-    threads = _threads(threads)
+    nsim = _whole(nsim, "nsim", 1)
+    seed = _whole(seed, "seed", 0)
+    threads = _whole(threads, "threads", 1)
     base = fit(data, config)
     out = [r for chunk in parallel_map(_boot_chunk, _chunks(data, nsim, threads, config, seed), threads)
            for r in chunk]
@@ -140,7 +139,7 @@ def boot_fit(
         replicates=replicates,
         config=config,
         nsim=nsim,
-        seed=int(seed),
+        seed=seed,
         base=base,
         failures=failures,
     )
@@ -224,10 +223,9 @@ def cv_loglik(
     exception propagates. When every repetition fails,
     :class:`NoFeasibleModelError` names the first failure's last reason.
     """
-    nsim = _whole(nsim, "nsim")
-    if nsim < 1:
-        raise ValueError("nsim must be >= 1")
-    threads = _threads(threads)
+    nsim = _whole(nsim, "nsim", 1)
+    seed = _whole(seed, "seed", 0)
+    threads = _whole(threads, "threads", 1)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     if data.n_events < config.nbreak + 2:
@@ -254,6 +252,6 @@ def cv_loglik(
         values=values,
         split_fraction=test_fraction,
         nsim=nsim,
-        seed=int(seed),
+        seed=seed,
         n_failed=len(failures),
     )

@@ -10,7 +10,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .distribution import PweModel, sample as pwe_sample
-from .errors import _threads, _whole
+from .errors import _whole
 from .rng import derive_rng
 from .survdata import SurvSample, write_table
 
@@ -72,14 +72,11 @@ class TrialDesign:
         if rate_form:
             if self.rand_rate is None or self.total_sample is None:
                 raise ValueError("rate-form enrollment needs both rand_rate and total_sample")
-            object.__setattr__(self, "total_sample", _whole(self.total_sample, "total_sample"))
-            if not 0 < self.rand_rate < np.inf or self.total_sample < 0:
-                raise ValueError("rand_rate must be positive and finite, and total_sample nonnegative")
+            if not 0 < self.rand_rate < np.inf:
+                raise ValueError("rand_rate must be positive and finite")
+            object.__setattr__(self, "total_sample", _whole(self.total_sample, "total_sample", 0))
         else:
-            counts = tuple(_whole(c, "n_rand counts") for c in self.n_rand)
-            if any(c < 0 for c in counts):
-                raise ValueError("n_rand counts must be nonnegative")
-            object.__setattr__(self, "n_rand", counts)
+            object.__setattr__(self, "n_rand", tuple(_whole(c, "n_rand counts", 0) for c in self.n_rand))
         for name, pairs in (("groups", self.groups), ("strata", self.strata)):
             pairs = tuple((str(n), float(w)) for n, w in pairs)
             if not pairs or not all(0 < w < np.inf for _, w in pairs):
@@ -231,7 +228,7 @@ def simulate_trial(design: TrialDesign, seed: int | np.random.Generator) -> Tria
     event flag marks whether the event came first. Cut the result with
     :func:`pwexp.survdata.cut_data` to mimic a data cut-off.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, 0)
+    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(_whole(seed, "seed", 0), 0)
     total = design.total
     month = _enrol_months(total, design.rand_rate, design.n_rand)
     randT = month + rng.random(total)  # uniform enrollment within each accrual month
@@ -365,8 +362,8 @@ def sim_followup(
     randomization to the earliest endpoint in ``follow_up_endpoint``.
     Values are means over replicates. Milestones (positive and finite),
     ``type``, the endpoints (a nonempty sequence of names from
-    ``FOLLOWUP_ENDPOINTS``, not a bare string) and ``threads`` (a whole
-    number >= 1) are checked before any replicate runs. A replicate with
+    ``FOLLOWUP_ENDPOINTS``, not a bare string), ``rep``, ``seed`` and
+    ``threads`` are checked before any replicate runs. A replicate with
     fewer events (or subjects) than a count milestone does not reach it and
     cuts at the end of its follow-up instead; a warning counts such pairs.
     Per replicate, one sort resolves every milestone and one minimum of the
@@ -376,10 +373,9 @@ def sim_followup(
     processes, so sampler hooks and statistics must be module-level
     callables; anything that cannot be pickled raises ``ValueError``.
     """
-    rep = _whole(rep, "rep")
-    if rep < 1:
-        raise ValueError("rep must be >= 1")
-    threads = _threads(threads)
+    rep = _whole(rep, "rep", 1)
+    seed = _whole(seed, "seed", 0)
+    threads = _whole(threads, "threads", 1)
     at = [float(a) for a in at]
     if not at or not all(0 < a < np.inf for a in at):
         raise ValueError("milestones must be nonempty, positive and finite")

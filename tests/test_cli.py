@@ -414,6 +414,31 @@ def test_dist_prints_the_cells_it_writes(tmp_path, capsys):
     assert (tmp_path / "dist.csv").read_text().splitlines() == printed
 
 
+@pytest.mark.parametrize("flag, fn", [
+    ("--survival", dist.conditional_survival),
+    ("--cdf", dist.conditional_cdf),
+    ("--quantile", dist.conditional_quantile),
+])
+def test_dist_given_matches_conditional(tmp_path, flag, fn):
+    out = tmp_path / "dist.csv"
+    at = "0,0.3,0.9" if flag == "--quantile" else "3,5,7.5,40"
+    argv = ["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", at, "--given", "3", flag]
+    assert main([*argv, "--out", str(out)]) == 0
+    cols = _columns(out)
+    want = fn(pw.PweModel((0.1, 0.2), (5.0,)), _floats(cols["at"]), 3.0)
+    assert np.array_equal(_floats(cols["value"]), want)
+
+
+@pytest.mark.parametrize("flag", ["--density", "--hazard"])
+def test_dist_given_needs_a_conditional_function(tmp_path, capsys, flag):
+    out = tmp_path / "dist.csv"
+    argv = ["dist", "--rates", "0.1", "--at", "5", "--given", "3", flag, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"pwexp dist: error: --given supports survival, cdf, quantile; not {flag[2:]}\n")
+    assert not out.exists()
+
+
 def test_dist_matches_survival(workdir):
     out = workdir / "dist.csv"
     assert main(["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "1,7", "--out", str(out)]) == 0

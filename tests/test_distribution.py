@@ -50,7 +50,8 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PweModel(rates)
 
-    @pytest.mark.parametrize("breaks", [(0.0,), (-1.0,), (2.0, 2.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("breaks", [(0.0,), (-1.0,), (2.0, 2.0), (3.0, 1.0), (np.nan,), (1.0, np.inf),
+                                        (1.0, np.nan, 3.0), (-np.inf, 1.0)])
     def test_bad_breakpoints(self, breaks):
         with pytest.raises(ValueError):
             PweModel((0.1,) * (len(breaks) + 1), breaks)

@@ -622,6 +622,19 @@ class TestFitHybrid:
             assert hyb.loglik == exh.loglik
 
 
+class TestTooFewCandidates:
+    """Every optimizer raises the one candidate-count error when
+    ``exclude_int`` leaves fewer event times than free change-points."""
+
+    @pytest.mark.parametrize("optimizer", ["bfs", "ols", "hybrid"])
+    @pytest.mark.parametrize("nbreak, left", [(1, 0), (2, 1)])
+    def test_raises_no_feasible_model(self, scenario_train, optimizer, nbreak, left):
+        last = float(scenario_train._sorted.event_times[-1])
+        cfg = FitConfig(nbreak=nbreak, optimizer=optimizer, exclude_int=(0.0, last if left else np.inf))
+        with pytest.raises(NoFeasibleModelError, match=f"^need at least {nbreak} candidate .*, got {left}$"):
+            fit(scenario_train, cfg)
+
+
 class TestFitDispatch:
     def test_nbreak_zero_exponential(self):
         d = SurvSample([2.0, 3.0, 7.0], [1, 1, 0])

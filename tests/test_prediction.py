@@ -85,6 +85,24 @@ def test_whole_valued_counts_are_ints():
     _assert_same(got, want)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: pw.AccrualPlan(5, monthly_counts=(2, 2)), "accrual plan provides 4 slots for 5 remaining subjects"),
+    (lambda: pw.AccrualPlan(0, rate=-5.0), "rate must be positive and finite"),
+    (lambda: pw.AccrualPlan(0, rate=1.0, monthly_counts=(1,)), "specify exactly one of rate or monthly_counts"),
+    (lambda: pw.AccrualPlan(0, monthly_counts=(1, -1)), "monthly counts must be >= 0, got -1"),
+    (lambda: pw.AccrualPlan(3), "specify exactly one of rate or monthly_counts"),
+], ids=["shortfall", "no_subjects_bad_rate", "no_subjects_both_forms", "no_subjects_bad_count", "no_form"])
+def test_accrual_plan_rejects_bad_plans(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_accrual_plan_for_no_subjects():
+    for plan in (pw.AccrualPlan(0), pw.AccrualPlan(0, rate=2.0), pw.AccrualPlan(0, monthly_counts=(0, 1.0))):
+        assert plan.n_remaining == 0 and plan.last_month == 0.0
+    assert pw.AccrualPlan(0, monthly_counts=(0, 1.0)).monthly_counts == (0, 1)
+
+
 @pytest.mark.parametrize("reasons", [
     [None, "drop_out", "cut", "cut", None, "drop_out"],
     [None, None, None, None, None, None],

@@ -65,6 +65,16 @@ class TestBootFit:
         with pytest.raises(NoFeasibleModelError):
             boot_fit(d, FitConfig(nbreak=2, optimizer="hybrid", seed=0), nsim=4, seed=1)
 
+    def test_more_than_half_failed_raises(self):
+        # 3 events among 30 subjects: a resample misses one of them about
+        # three times in four, leaving too few distinct event times for 2
+        # change-points, while the original sample fits
+        d = thin_sample(3, 27)
+        cfg = FitConfig(nbreak=2, optimizer="bfs", min_pt_tail=1, seed=0)
+        fit(d, cfg)
+        with pytest.raises(NoFeasibleModelError, match="^1[1-9] of 20 bootstrap replicates failed to fit$"):
+            boot_fit(d, cfg, nsim=20, seed=1)
+
     def test_thin_resamples_recorded_as_failures(self):
         # 4 events among 20 subjects: about 13% of resamples hold no event
         # or a single distinct event time, too few for one change-point
@@ -455,6 +465,23 @@ class TestBatchMatchesSingleFits:
             else:
                 assert fingerprint(res) == fingerprint(want)
         assert kinds == {est.FitResult, NoFeasibleModelError}
+
+    def test_finish_failure_stays_with_its_item(self):
+        # an exclude_int covering every event time passes the checks and the
+        # lockstep, then fails the grid fallback when the fit is finished
+        good, _, _ = make_scenario(seed=1, n=300)
+        configs = [FitConfig(nbreak=1, optimizer=opt, exclude_int=ex, seed=0)
+                   for opt in ("ols", "hybrid") for ex in (None, (0.0, np.inf))]
+        for cfg in configs[1::2]:
+            est._start_search(good, cfg)
+        got = list(_fit_batch(lambda key: good, enumerate(configs)))
+        assert [key for key, _ in got] == list(range(len(configs)))
+        for (_, res), cfg in zip(got, configs):
+            if cfg.exclude_int is None:
+                assert fingerprint(res) == fingerprint(fit(good, cfg))
+            else:
+                assert isinstance(res, NoFeasibleModelError) and res.__traceback__ is None
+                assert str(res).startswith("need at least 1 candidate event times")
 
 
 class TestWaitingReplicatesHoldNoSample:

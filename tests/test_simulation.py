@@ -72,6 +72,19 @@ def test_empty_trial(enrol, iid):
         assert (col.shape, col.dtype) == ((0,), getattr(full, name).dtype), name
 
 
+@pytest.mark.parametrize("hook, message", [
+    (lambda n, rng: np.ones(n + 1), "sampler hook must return exactly n values"),
+    (lambda n, rng: np.ones((n, 1)), "sampler hook must return exactly n values"),
+    (lambda n, rng: np.where(np.arange(n) == 3, np.nan, 1.0), "sampler hook returned negative or NaN times"),
+    (lambda n, rng: np.where(np.arange(n) == 3, -1.0, 1.0), "sampler hook returned negative or NaN times"),
+], ids=["long", "column", "nan", "negative"])
+@pytest.mark.parametrize("which", ["event", "dropout", "death"])
+def test_sampler_hook_output_checked(hook, message, which):
+    arm = pw.ArmModel(**{"event": pw.PweModel((0.1,)), which: hook})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pw.simulate_trial(pw.TrialDesign(rand_rate=10, total_sample=8, dists=arm), seed=0)
+
+
 @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
 def test_rand_rate_must_be_positive_and_finite(rate):
     with pytest.raises(ValueError, match="rand_rate must be positive and finite"):
