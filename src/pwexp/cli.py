@@ -34,10 +34,6 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _parse_pairs(text: str) -> list[tuple[str, float]]:
     # "trt=1,con=1"
     out = []
@@ -85,7 +81,7 @@ def _write_manifest(out_path: str, subcommand: str, argv: list[str]):
 def _load_model(path: str):
     with open(path) as fh:
         d = json.load(fh)
-    return BootFit.from_dict(d) if "replicates" in d else FitResult.from_dict(d)
+    return BootFit.from_dict(d) if isinstance(d, dict) and "replicates" in d else FitResult.from_dict(d)
 
 
 def _add_data_flags(p: argparse.ArgumentParser, calendar: bool = False):
@@ -165,7 +161,7 @@ def _design_from(args) -> TrialDesign:
     return TrialDesign(
         rand_rate=args.rand_rate,
         total_sample=args.total_sample,
-        n_rand=tuple(_parse_ints(args.n_rand)) if args.n_rand else None,
+        n_rand=tuple(_parse_floats(args.n_rand)) if args.n_rand else None,
         groups=groups,
         strata=strata,
         dists=dists,
@@ -191,10 +187,11 @@ def _write_curve_csv(path, model, upto: float, points: int = 200):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each is a generator that yields every output path
+# right after writing it, so that main writes the path's manifest
 
 
-def _cmd_dist(args, argv):
+def _cmd_dist(args):
     model = dist.PweModel(tuple(_parse_floats(args.rates)), tuple(_parse_floats(args.breaks)))
     fn = {
         "survival": dist.survival,
@@ -217,22 +214,20 @@ def _cmd_dist(args, argv):
         vals = np.atleast_1d(fn(model, at))
     if args.out:
         write_table(args.out, {"at": at, "value": vals})
-        _write_manifest(args.out, "dist", argv)
+        yield args.out
     else:
         rows = map(",".join, zip(_format_column(at), _format_column(vals)))
         print("\n".join(["at,value", *rows]))
-    return 0
 
 
-def _cmd_simulate(args, argv):
+def _cmd_simulate(args):
     frame = simulate_trial(_design_from(args), args.seed)
     frame.write_csv(args.out)
-    _write_manifest(args.out, "simulate", argv)
+    yield args.out
     print(f"wrote {len(frame)} subjects to {args.out}")
-    return 0
 
 
-def _cmd_cut(args, argv):
+def _cmd_cut(args):
     data = _read_data(args, _CALENDAR_COLS)
     out = cut_data(data, args.cut)
     write_table(args.out, {
@@ -243,63 +238,56 @@ def _cmd_cut(args, argv):
         args.follow_abs_time_col: out.follow_abs_time,
         args.censor_reason_col: out.censor_reason,
     })
-    _write_manifest(args.out, "cut", argv)
+    yield args.out
     print(f"retained {len(out)} of {len(data)} subjects at cut {args.cut:g}")
-    return 0
 
 
-def _cmd_km(args, argv):
+def _cmd_km(args):
     curve = km_fit(_read_data(args))
     write_table(args.out, {"time": curve.time, "survival": curve.survival})
-    _write_manifest(args.out, "km", argv)
-    return 0
+    yield args.out
 
 
-def _cmd_fit(args, argv):
+def _cmd_fit(args):
     data = _read_data(args)
     res = fit(data, _config_from(args))
     print(json.dumps(res.to_dict()))
     _print_fit_summary(res)
     if args.out:
         res.save_json(args.out)
-        _write_manifest(args.out, "fit", argv)
+        yield args.out
     if args.curve_out:
         _write_curve_csv(args.curve_out, res.model, upto=float(data.time.max()))
-        _write_manifest(args.curve_out, "fit", argv)
-    return 0
+        yield args.curve_out
 
 
-def _cmd_boot(args, argv):
+def _cmd_boot(args):
     data = _read_data(args)
     bf = boot_fit(data, _config_from(args), nsim=args.nsim, seed=args.seed,
                   threads=args.threads)
     bf.save_json(args.out)
-    _write_manifest(args.out, "boot", argv)
+    yield args.out
     print(f"{len(bf.replicates)} of {bf.nsim} bootstrap replicates fitted")
-    return 0
 
 
-def _cmd_cv(args, argv):
+def _cmd_cv(args):
     data = _read_data(args)
     cv = cv_loglik(data, _config_from(args), nsim=args.nsim, seed=args.seed,
                    threads=args.threads)
     cv.save_csv(args.out)
-    _write_manifest(args.out, "cv", argv)
+    yield args.out
     print(f"median CV log-likelihood {np.median(cv.values):.4f} over {len(cv.values)} splits")
-    return 0
 
 
-def _cmd_predict(args, argv):
+def _cmd_predict(args):
     # what TrialSnapshot.from_cut_sample reads; --id-col and
     # --follow-abs-time-col are accepted but not needed
     data = _read_data(args, ("rand_time_col", "censor_reason_col"))
-    accrual = None
-    if args.n_remaining:
-        accrual = AccrualPlan(
-            n_remaining=args.n_remaining,
-            rate=args.rate,
-            monthly_counts=tuple(_parse_ints(args.monthly_counts)) if args.monthly_counts else None,
-        )
+    accrual = AccrualPlan(
+        n_remaining=args.n_remaining,
+        rate=args.rate,
+        monthly_counts=tuple(_parse_floats(args.monthly_counts)) if args.monthly_counts else None,
+    )
     if (args.timeline_at is None) != (args.timeline_out is None):
         raise ValueError("--timeline_at and --timeline_out go together")
     snap = TrialSnapshot.from_cut_sample(data, args.analysis_time, accrual)
@@ -315,15 +303,14 @@ def _cmd_predict(args, argv):
     else:
         rows = event_interval(ens, eval_at, level=args.level, kind=args.kind)
     write_interval_csv(rows, args.out, timeline=args.xyswitch)
-    _write_manifest(args.out, "predict", argv)
+    yield args.out
     if args.timeline_out:
         rows = timeline_for_events(ens, _parse_floats(args.timeline_at), level=args.level, kind=args.kind)
         write_interval_csv(rows, args.timeline_out, timeline=True)
-        _write_manifest(args.timeline_out, "predict", argv)
-    return 0
+        yield args.timeline_out
 
 
-def _cmd_followup(args, argv):
+def _cmd_followup(args):
     res = sim_followup(
         _design_from(args),
         at=_parse_floats(args.at),
@@ -336,12 +323,11 @@ def _cmd_followup(args, argv):
         threads=args.threads,
     )
     write_table(args.out, res.overall)
-    _write_manifest(args.out, "followup", argv)
+    yield args.out
     if args.by_group:
         group_out = args.group_out or f"{args.out}.by_group.csv"
         write_table(group_out, res.by_group)
-        _write_manifest(group_out, "followup", argv)
-    return 0
+        yield group_out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,10 +435,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.runner(args, argv)
+        for path in args.runner(args):
+            _write_manifest(path, args.cmd, argv)
     except (PwexpError, ValueError, OSError) as exc:
         print(f"pwexp {args.cmd}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -92,19 +92,74 @@ def loglik(m: PweModel, data: SurvSample) -> float:
     return float(np.log(lam).sum() - H.sum())
 
 
+def _field(d: dict, name: str, convert, *default):
+    """``convert(d[name])``, or ``default[0]`` for an absent field. Records
+    are read from files, so a missing field, or one that ``convert``
+    rejects with ``TypeError`` or ``ValueError``, raises ``ValueError``
+    naming the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a record must be a JSON object, got {type(d).__name__}")
+    if name not in d:
+        if not default:
+            raise ValueError(f"record has no {name!r} field")
+        return default[0]
+    try:
+        return convert(d[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {name!r} field: {exc}") from None
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in _list(value))
+
+
+class _JsonRecord:
+    """A record saved as the indented JSON of its ``to_dict`` and loaded
+    back through its ``from_dict``."""
+
+    def save_json(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load_json(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass
-class FitResult:
-    """A fitted PWE model with its likelihood and information criteria."""
+class FitResult(_JsonRecord):
+    """A fitted PWE model with its likelihood and information criteria.
+
+    ``n_param``, ``aic`` and ``bic`` follow from the model, ``loglik`` and
+    ``n_obs``; they are written to JSON but never read back from it.
+    """
 
     model: PweModel
     loglik: float
-    aic: float
-    bic: float
     n_obs: int
-    n_param: int
     optimizer: str
     warnings: list[str] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def n_param(self) -> int:
+        return 2 * len(self.model.breakpoints) + 1
+
+    @property
+    def aic(self) -> float:
+        return -2.0 * self.loglik + 2.0 * self.n_param
+
+    @property
+    def bic(self) -> float:
+        return -2.0 * self.loglik + self.n_param * np.log(self.n_obs)
 
     def to_dict(self) -> dict:
         return {
@@ -120,42 +175,15 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        model = PweModel(tuple(d["rates"]), tuple(d["breakpoints"]))
+        """The result :meth:`to_dict` wrote; ``ValueError`` names a missing
+        or ill-typed field."""
         return cls(
-            model=model,
-            loglik=float(d["loglik"]),
-            aic=float(d["aic"]),
-            bic=float(d["bic"]),
-            n_obs=int(d["n_obs"]),
-            n_param=2 * len(model.breakpoints) + 1,
-            optimizer=str(d["optimizer"]),
-            warnings=list(d.get("warnings", [])),
+            model=PweModel(_field(d, "rates", _floats), _field(d, "breakpoints", _floats)),
+            loglik=_field(d, "loglik", float),
+            n_obs=_field(d, "n_obs", lambda v: _whole(v, "n_obs", 1)),
+            optimizer=_field(d, "optimizer", str),
+            warnings=list(_field(d, "warnings", _list, [])),
         )
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "FitResult":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _make_result(model: PweModel, data: SurvSample, optimizer: str) -> FitResult:
-    ll = loglik(model, data)
-    k = 2 * len(model.breakpoints) + 1
-    n = len(data)
-    return FitResult(
-        model=model,
-        loglik=ll,
-        aic=-2.0 * ll + 2.0 * k,
-        bic=-2.0 * ll + k * np.log(n),
-        n_obs=n,
-        n_param=k,
-        optimizer=optimizer,
-    )
 
 
 def mle_given_breakpoints(breakpoints, data: SurvSample) -> FitResult:
@@ -174,7 +202,15 @@ def mle_given_breakpoints(breakpoints, data: SurvSample) -> FitResult:
             raise EmptyPieceError(k + 1, "no exposure time")
     rates = tally.n_events / tally.exposure
     model = PweModel(tuple(rates), tally.breakpoints)
-    return _make_result(model, data, "fixed")
+    return FitResult(model, loglik(model, data), len(data), "fixed")
+
+
+def _searched(breakpoints, data: SurvSample, optimizer: str, warnings: list[str],
+              diagnostics: dict) -> FitResult:
+    """The closed-form fit at a search's change-points, with the search's
+    optimizer name, warnings and diagnostics."""
+    res = mle_given_breakpoints(breakpoints, data)
+    return replace(res, optimizer=optimizer, warnings=warnings, diagnostics=diagnostics)
 
 
 def validate_breakpoints(breakpoints, data: SurvSample) -> tuple[tuple[float, ...], list[str]]:
@@ -409,14 +445,11 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     cands = _candidate_values(view, config)
     combos = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
     B, i, feasible = _search(view, combos, config, "change-point combination")
-    res = mle_given_breakpoints(B[i], data)
-    res.optimizer = "bfs"
-    res.diagnostics = {
+    return _searched(B[i], data, "bfs", [], {
         "n_combinations": int(len(B)),
         "n_feasible": int(feasible.sum()),
         "n_candidates": int(len(cands)),
-    }
-    return res
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -817,12 +850,9 @@ class _OlsSearch:
 
     def ols_result(self, seg: SegmentedFit, data: SurvSample) -> FitResult:
         bps, psi, se, warnings = self.breakpoints(seg, data)
-        res = mle_given_breakpoints(bps, data)
-        res.optimizer = "ols"
-        res.warnings = warnings
-        res.diagnostics = {"free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
-                           "segmented_converged": seg.converged, **_segmented_record(seg)}
-        return res
+        return _searched(bps, data, "ols", warnings, {
+            "free_breakpoints": psi, "breakpoint_se": se, "slope": seg.slope,
+            "segmented_converged": seg.converged, **_segmented_record(seg)})
 
     def hybrid_result(self, seg: SegmentedFit, data: SurvSample) -> FitResult:
         """See :func:`fit_hybrid`."""
@@ -858,17 +888,13 @@ class _OlsSearch:
             raise NoFeasibleModelError("hybrid candidate set is empty")
 
         B, i, _ = _search(view, rows, config, "hybrid candidate row")
-        res = mle_given_breakpoints(B[i], data)
-        res.optimizer = "hybrid"
-        res.warnings = warnings
-        res.diagnostics = {
+        return _searched(B[i], data, "hybrid", warnings, {
             "n_rows": int(len(B)),
             "ols_breakpoints": psi,
             "ols_se": se,
             "candidate_set_sizes": [int(len(s)) for s in sets],
             **_segmented_record(seg),
-        }
-        return res
+        })
 
 
 def fit_ols(data: SurvSample, config: FitConfig) -> FitResult:

@@ -1,14 +1,14 @@
 """Bootstrap parameter uncertainty and cross-validated log-likelihood."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._parallel import parallel_map
 from .errors import NoFeasibleModelError, _whole
-from .estimation import FitConfig, FitResult, _check_sample, _fit_batch, fit, loglik
+from .estimation import (FitConfig, FitResult, _JsonRecord, _check_sample, _field, _fit_batch, _list, fit,
+                         loglik)
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
 
@@ -16,7 +16,7 @@ __all__ = ["BootFit", "CvResult", "boot_fit", "cv_loglik"]
 
 
 @dataclass
-class BootFit:
+class BootFit(_JsonRecord):
     """Per-replicate fits from case resampling with replacement.
 
     ``base`` is the fit on the original data; ``failures`` says which
@@ -48,37 +48,33 @@ class BootFit:
             "failures": list(self.failures),
         }
 
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_dict(cls, d: dict) -> "BootFit":
+        """The ensemble :meth:`to_dict` wrote, with ``config=None``;
+        ``ValueError`` names a missing or ill-typed field."""
         return cls(
-            replicates=[FitResult.from_dict(r) for r in d["replicates"]],
+            replicates=_field(d, "replicates", lambda v: [FitResult.from_dict(r) for r in _list(v)]),
             config=None,
-            nsim=int(d["nsim"]),
-            seed=int(d["seed"]),
-            base=FitResult.from_dict(d["base"]) if d.get("base") is not None else None,
-            failures=list(d.get("failures", [])),
+            nsim=_field(d, "nsim", lambda v: _whole(v, "nsim", 1)),
+            seed=_field(d, "seed", lambda v: _whole(v, "seed", 0)),
+            base=_field(d, "base", lambda v: None if v is None else FitResult.from_dict(v), None),
+            failures=list(_field(d, "failures", _list, [])),
         )
-
-    @classmethod
-    def load_json(cls, path) -> "BootFit":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
 class CvResult:
-    """Held-out log-likelihoods from repeated random-split validation."""
+    """Held-out log-likelihoods from repeated random-split validation;
+    ``nsim`` counts the repetitions, scored or failed."""
 
     values: np.ndarray
     split_fraction: float
-    nsim: int
     seed: int
     n_failed: int = 0
+
+    @property
+    def nsim(self) -> int:
+        return len(self.values) + self.n_failed
 
     def save_csv(self, path):
         write_table(path, {"cv_loglik": self.values})
@@ -251,7 +247,6 @@ def cv_loglik(
     return CvResult(
         values=values,
         split_fraction=test_fraction,
-        nsim=nsim,
         seed=seed,
         n_failed=len(failures),
     )

@@ -305,6 +305,66 @@ def test_predict_rejects_a_nan_enrollment_time(workdir, cut_sample, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # the plan is checked also without --n_remaining
+    (["--rate", "-5"], "rate must be positive and finite"),
+    (["--n_remaining", "6", "--monthly_counts", "2,2.5,4"], "monthly counts must be a whole number, got 2.5"),
+])
+def test_predict_checks_the_accrual_flags(workdir, cut_sample, tmp_path, capsys, flags, message):
+    model = tmp_path / "fit_exp.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(model)
+    out = tmp_path / "out.csv"
+    assert main(["predict", "--in", str(workdir / "cut.csv"), "--model", str(model),
+                 "--analysis_time", str(CUT), "--kind", "predictive", "--eval_at", "22",
+                 "--seed", str(SEED), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pwexp predict: error: {message}\n"
+    assert not out.exists()
+
+
+_FIT_RECORD = '"rates": [0.1], "breakpoints": [], "loglik": -5.0, "optimizer": "fixed"'
+
+
+@pytest.mark.parametrize("text, problem", [
+    pytest.param("{}", "record has no 'rates' field", id="empty"),
+    pytest.param("[]", "a record must be a JSON object, got list", id="list"),
+    pytest.param("5", "a record must be a JSON object, got int", id="number"),
+    pytest.param('{"rates": 5, "breakpoints": [], "loglik": -5.0, "n_obs": 10, "optimizer": "fixed"}',
+                 "bad 'rates' field: expected a list, got int", id="rates_not_a_list"),
+    pytest.param("{" + _FIT_RECORD + ', "n_obs": 10.9}',
+                 "bad 'n_obs' field: n_obs must be a whole number, got 10.9", id="fractional_n_obs"),
+    pytest.param('{"replicates": [], "nsim": 0, "seed": 1}', "bad 'nsim' field: nsim must be >= 1, got 0",
+                 id="boot_nsim_0"),
+    pytest.param('{"rates": [0.1]', "Expecting", id="not_json"),
+])
+@pytest.mark.parametrize("flag", ["--model", "--censor_model"])
+def test_predict_rejects_a_malformed_model(workdir, cut_sample, tmp_path, capsys, text, problem, flag):
+    good = tmp_path / "fit_exp.json"
+    pw.fit(cut_sample, pw.FitConfig(nbreak=0, seed=SEED)).save_json(good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    models = {"--model": good, "--censor_model": good, flag: bad}
+    out = tmp_path / "out.csv"
+    assert main(["predict", "--in", str(workdir / "cut.csv"), *(f for k, v in models.items() for f in (k, str(v))),
+                 "--analysis_time", str(CUT), "--kind", "predictive", "--eval_at", "22",
+                 "--seed", str(SEED), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pwexp predict: error: ") and problem in err
+    assert not out.exists()
+
+
+def test_simulate_reads_n_rand_as_whole_counts(tmp_path, capsys):
+    argv = ["simulate", "--event", "0.1", "--seed", str(SEED)]
+    out = tmp_path / "trial.csv"
+    assert main([*argv, "--n_rand", "15,15.0,21", "--out", str(out)]) == 0
+    design = pw.TrialDesign(n_rand=(15, 15, 21), dists=pw.ArmModel(event=pw.PweModel((0.1,))))
+    pw.simulate_trial(design, SEED).write_csv(tmp_path / "ref.csv")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--n_rand", "15,2.5", "--out", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err == "pwexp simulate: error: n_rand counts must be a whole number, got 2.5\n"
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_followup_matches_sim_followup(workdir):
     out = workdir / "followup.csv"
     argv = ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5",

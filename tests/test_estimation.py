@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -825,6 +827,76 @@ class TestRunRecordKeys:
     def test_fallback_warning_text(self, scenario_train, optimizer):
         res = fit(scenario_train, FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=150, seed=1))
         assert any("grid fallback" in w for w in res.warnings)
+
+
+RECORD_CONFIGS = {
+    "bfs": FitConfig(nbreak=2, optimizer="bfs", seed=7),
+    "ols": FitConfig(nbreak=2, optimizer="ols", seed=7),
+    "hybrid": FitConfig(nbreak=2, optimizer="hybrid", seed=7),
+    "all_fixed": FitConfig(fixed_breakpoints=(5.0, 14.0), seed=7),
+    "nbreak_0": FitConfig(nbreak=0, seed=7),
+}
+
+
+SMALL_FIT = FitResult(PweModel((0.1, 0.2), (5.0,)), loglik=-30.5, n_obs=20, optimizer="bfs")
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+class TestFitRecord:
+    """``n_param``, ``aic`` and ``bic`` follow from the fit, and the JSON
+    record reads back what it wrote and rejects what it did not."""
+
+    @pytest.fixture(scope="class", params=list(RECORD_CONFIGS))
+    def result(self, request, scenario_train):
+        return fit(scenario_train, RECORD_CONFIGS[request.param])
+
+    def test_criteria_follow_from_the_fit(self, result, scenario_train):
+        k = 2 * len(result.model.breakpoints) + 1
+        assert result.n_param == k
+        assert result.n_obs == len(scenario_train)
+        assert _bits(result.aic) == _bits(-2.0 * result.loglik + 2.0 * k)
+        assert _bits(result.bic) == _bits(-2.0 * result.loglik + k * np.log(len(scenario_train)))
+
+    def test_json_round_trip_is_exact(self, result, tmp_path):
+        path = tmp_path / "fit.json"
+        result.save_json(path)
+        back = FitResult.load_json(path)
+        assert json.dumps(back.to_dict()) == json.dumps(result.to_dict())
+        assert (back.n_param, _bits(back.aic), _bits(back.bic)) == (
+            result.n_param, _bits(result.aic), _bits(result.bic))
+
+    def test_edited_criteria_are_not_read(self, result, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({**result.to_dict(), "aic": 0.0, "bic": -1.0}))
+        back = FitResult.load_json(path)
+        assert (_bits(back.aic), _bits(back.bic)) == (_bits(result.aic), _bits(result.bic))
+
+    @pytest.mark.parametrize("name", ["rates", "breakpoints", "loglik", "n_obs", "optimizer"])
+    def test_missing_field_named(self, name):
+        d = SMALL_FIT.to_dict()
+        del d[name]
+        with pytest.raises(ValueError, match=f"record has no '{name}' field"):
+            FitResult.from_dict(d)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"rates": 5}, "bad 'rates' field: expected a list, got int"),
+        ({"rates": ["fast"]}, "bad 'rates' field: could not convert"),
+        ({"breakpoints": None}, "bad 'breakpoints' field: expected a list"),
+        ({"loglik": [1.0]}, "bad 'loglik' field"),
+        ({"n_obs": 10.9}, "bad 'n_obs' field: n_obs must be a whole number, got 10.9"),
+        ({"n_obs": 0}, "bad 'n_obs' field: n_obs must be >= 1, got 0"),
+        ({"warnings": "none"}, "bad 'warnings' field: expected a list, got str"),
+    ])
+    def test_ill_typed_field_named(self, edit, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FitResult.from_dict({**SMALL_FIT.to_dict(), **edit})
+
+    def test_record_must_be_an_object(self):
+        with pytest.raises(ValueError, match="a record must be a JSON object, got list"):
+            FitResult.from_dict([])
 
 
 class TestOneSortedViewPerSample:

@@ -16,8 +16,7 @@ LAM, MU = 0.1, 0.05
 
 
 def _result(model: pw.PweModel) -> FitResult:
-    return FitResult(model=model, loglik=0.0, aic=0.0, bic=0.0, n_obs=1, n_param=1,
-                     optimizer="bfs")
+    return FitResult(model=model, loglik=0.0, n_obs=1, optimizer="bfs")
 
 
 def _ensemble(rates) -> BootFit:

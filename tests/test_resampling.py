@@ -1,3 +1,4 @@
+import re
 import weakref
 from dataclasses import replace
 
@@ -152,6 +153,28 @@ class TestBootFit:
         back = BootFit.from_dict(d)
         assert back.base is None and back.failures == []
         assert len(back.replicates) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"nsim": 2.5}, "bad 'nsim' field: nsim must be a whole number, got 2.5"),
+        ({"nsim": 0}, "bad 'nsim' field: nsim must be >= 1, got 0"),
+        ({"seed": -1}, "bad 'seed' field: seed must be >= 0, got -1"),
+        ({"seed": "11"}, "bad 'seed' field: seed must be a whole number, got '11'"),
+        ({"replicates": 5}, "bad 'replicates' field: expected a list, got int"),
+        ({"replicates": [{}]}, "bad 'replicates' field: record has no 'rates' field"),
+        ({"base": {"rates": 5}}, "bad 'base' field: bad 'rates' field: expected a list"),
+        ({"failures": "none"}, "bad 'failures' field: expected a list, got str"),
+    ])
+    def test_reader_names_a_bad_field(self, small_train, edit, message):
+        d = boot_fit(small_train, FitConfig(nbreak=0, seed=2), nsim=2, seed=11).to_dict()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            BootFit.from_dict({**d, **edit})
+
+    @pytest.mark.parametrize("name", ["replicates", "nsim", "seed"])
+    def test_reader_names_a_missing_field(self, small_train, name):
+        d = boot_fit(small_train, FitConfig(nbreak=0, seed=2), nsim=2, seed=11).to_dict()
+        del d[name]
+        with pytest.raises(ValueError, match=f"record has no '{name}' field"):
+            BootFit.from_dict(d)
 
     def test_interval_width_shrinks_with_n(self):
         widths = {}
@@ -351,6 +374,7 @@ def assert_cv_matches_fits(data, cfg, nsim, seed):
     values, n_failed, draws = reference_cv(data, cfg, nsim, seed)
     assert cv.values.tobytes() == np.array(values).tobytes()
     assert cv.n_failed == n_failed
+    assert cv.nsim == len(cv.values) + cv.n_failed == nsim
     return cv, draws
 
 
@@ -412,6 +436,15 @@ class TestBatchMatchesSingleFits:
         _, draws = assert_cv_matches_fits(data, cfg, nsim=6, seed=2)
         if optimizer != "bfs":
             assert max(draws) > 1
+
+    def test_nsim_counts_failed_repetitions(self):
+        # tied event times: some repetitions find no feasible split in six
+        # draws, the others score
+        data = SurvSample([2, 2, 1, 4, 2, 4, 4, 13, 6, 1, 1, 9, 2, 14, 13, 8, 5, 17, 6, 5, 5, 8, 4, 4],
+                          [0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0])
+        cfg = FitConfig(nbreak=2, optimizer="hybrid", min_pt_tail=1, seed=0)
+        cv, _ = assert_cv_matches_fits(data, cfg, nsim=4, seed=1)
+        assert 0 < cv.n_failed < cv.nsim
 
     @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
     def test_independent_of_block_size_and_threads(self, monkeypatch, optimizer):
