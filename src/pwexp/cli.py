@@ -3,8 +3,8 @@ followup, and dist subcommands over CSV/JSON files.
 
 Every randomized subcommand requires an explicit --seed, outputs are
 reproducible from the manifest written next to each output file, and
---threads (boot, cv, predict, followup: the number of worker processes)
-never changes numeric results. fit runs in one process.
+--threads (boot, cv, predict, followup) never changes numeric results.
+fit runs in one process.
 """
 from __future__ import annotations
 
@@ -28,6 +28,10 @@ from .prediction import (
 from .resampling import BootFit, boot_fit, cv_loglik
 from .simulation import FOLLOWUP_TYPES, ArmModel, TrialDesign, prop_above, sim_followup, simulate_trial
 from .survdata import _format_column, cut_data, km_fit, read_survival_csv, write_table
+
+
+_THREADS_HELP = ("workers: this process computes one share of the replicates and, on Linux, "
+                 "forks THREADS - 1 processes for the others; elsewhere all run in this process")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_fitconfig_flags(p)
     p.add_argument("--nsim", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(runner=_cmd_boot)
 
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_fitconfig_flags(p)
     p.add_argument("--nsim", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(runner=_cmd_cv)
 
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="event counts for a second, timeline table from the same ensemble")
     p.add_argument("--timeline_out", default=None, help="write the --timeline_at table here")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(runner=_cmd_predict)
 
@@ -423,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by_group", action="store_true")
     p.add_argument("--rep", type=int, default=100)
     p.add_argument("--follow_up_endpoint", default="cut,drop_out,death")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--group_out", default=None)
     p.set_defaults(runner=_cmd_followup)

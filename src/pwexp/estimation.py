@@ -119,6 +119,20 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(float(v) for v in _list(value))
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
+def _optimizer(value) -> str:
+    names = (*OPTIMIZERS, "fixed")
+    if value not in names:
+        raise ValueError(f"expected one of {names}, got {value!r}")
+    return value
+
+
 class _JsonRecord:
     """A record saved as the indented JSON of its ``to_dict`` and loaded
     back through its ``from_dict``."""
@@ -179,9 +193,9 @@ class FitResult(_JsonRecord):
         or ill-typed field."""
         return cls(
             model=PweModel(_field(d, "rates", _floats), _field(d, "breakpoints", _floats)),
-            loglik=_field(d, "loglik", float),
+            loglik=_field(d, "loglik", _finite),
             n_obs=_field(d, "n_obs", lambda v: _whole(v, "n_obs", 1)),
-            optimizer=_field(d, "optimizer", str),
+            optimizer=_field(d, "optimizer", _optimizer),
             warnings=list(_field(d, "warnings", _list, [])),
         )
 

@@ -437,8 +437,11 @@ def predict_events(
     made for blocks of subjects at once, with event and censoring times
     taken from separate child streams of each parameter set's stream
     (stream ``(seed, 10, 0)`` is not drawn), so the result depends on
-    ``seed`` alone: not on the block size, nor on ``threads``. The default
-    horizon is the end of accrual plus the longest elapsed follow-up.
+    ``seed`` alone: not on the block size, nor on ``threads``. The
+    parameter sets are split into ``threads`` contiguous shares: the caller
+    simulates the first and, on Linux, ``threads - 1`` forked processes the
+    others (elsewhere the caller simulates them all). The default horizon is
+    the end of accrual plus the longest elapsed follow-up.
     """
     n_each = _whole(n_each, "n_each", 1)
     seed = _whole(seed, "seed", 0)

@@ -51,14 +51,25 @@ class BootFit(_JsonRecord):
     @classmethod
     def from_dict(cls, d: dict) -> "BootFit":
         """The ensemble :meth:`to_dict` wrote, with ``config=None``;
-        ``ValueError`` names a missing or ill-typed field."""
+        ``ValueError`` names a missing or ill-typed field, and an ``nsim``
+        below the count of replicates and failures."""
+        replicates = _field(d, "replicates", lambda v: [FitResult.from_dict(r) for r in _list(v)])
+        failures = list(_field(d, "failures", _list, []))
+
+        def nsim(value) -> int:
+            nsim = _whole(value, "nsim", 1)
+            if len(replicates) + len(failures) > nsim:
+                raise ValueError(f"{len(replicates)} replicates and {len(failures)} failures "
+                                 f"exceed nsim {nsim}")
+            return nsim
+
         return cls(
-            replicates=_field(d, "replicates", lambda v: [FitResult.from_dict(r) for r in _list(v)]),
+            replicates=replicates,
             config=None,
-            nsim=_field(d, "nsim", lambda v: _whole(v, "nsim", 1)),
+            nsim=_field(d, "nsim", nsim),
             seed=_field(d, "seed", lambda v: _whole(v, "seed", 0)),
             base=_field(d, "base", lambda v: None if v is None else FitResult.from_dict(v), None),
-            failures=list(_field(d, "failures", _list, [])),
+            failures=failures,
         )
 
 
@@ -109,11 +120,13 @@ def boot_fit(
     """Fit ``nsim`` case resamples of ``data`` (size n, with replacement).
 
     Replicate b draws its resample and its search stream from child streams
-    of (seed, b). With ``threads`` workers each takes a contiguous run of
-    replicates, fitted in blocks by :func:`~pwexp.estimation._fit_batch`,
-    which draws a resample again from its stream rather than keep it.
-    Every replicate's fit is the one :func:`fit` gives on its resample, so
-    the result is identical for any worker count. Replicates whose fit raises
+    of (seed, b). The replicates are split into ``threads`` contiguous
+    runs: the caller fits the first and, on Linux, ``threads - 1`` forked
+    processes fit the others (elsewhere the caller fits them all). Each run
+    is fitted in blocks by :func:`~pwexp.estimation._fit_batch`, which draws
+    a resample again from its stream rather than keep it. Every replicate's
+    fit is the one :func:`fit` gives on its resample, so the result is
+    identical for any ``threads``. Replicates whose fit raises
     :class:`EmptyPieceError` or :class:`NoFeasibleModelError` are recorded
     in ``failures`` and skipped; more than 50% failures raises
     :class:`NoFeasibleModelError`, as does an infeasible fit on the original
@@ -205,11 +218,13 @@ def cv_loglik(
     Each repetition holds out ``test_fraction`` of the records (stratified
     by event status), fits on the remainder, and scores the held-out
     records. Split streams are derived from (seed, repetition) alone, so
-    two models compared under the same seed see identical splits. With
-    ``threads`` workers each takes a contiguous run of repetitions, fitted
-    in blocks by :func:`~pwexp.estimation._fit_batch`; every training fit
-    is the one :func:`fit` gives on its split, so the values are identical
-    for any worker count. Follow-up times must be finite. For
+    two models compared under the same seed see identical splits. The
+    repetitions are split into ``threads`` contiguous runs: the caller fits
+    the first and, on Linux, ``threads - 1`` forked processes fit the others
+    (elsewhere the caller fits them all). Each run is fitted in blocks by
+    :func:`~pwexp.estimation._fit_batch`; every training fit is the one
+    :func:`fit` gives on its split, so the values are identical for any
+    ``threads``. Follow-up times must be finite. For
     ``optimizer`` ``"ols"`` or ``"hybrid"``, a sample with fewer than
     ``2 * (nbreak + 1)`` distinct event times (``nbreak`` counting searched
     change-points only) raises :class:`NoFeasibleModelError` before any fit:

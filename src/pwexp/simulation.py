@@ -1,7 +1,6 @@
 """Synthetic trial generation and design-stage follow-up simulation."""
 from __future__ import annotations
 
-import pickle
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -369,9 +368,10 @@ def sim_followup(
     Per replicate, one sort resolves every milestone and one minimum of the
     latent endpoints serves them all, so a milestone costs O(subjects x (1
     + groups)) plus the statistics.
-    With ``threads > 1`` the design and ``stats`` are sent to worker
-    processes, so sampler hooks and statistics must be module-level
-    callables; anything that cannot be pickled raises ``ValueError``.
+    With ``threads > 1`` the caller simulates one contiguous share of the
+    replicates and, on Linux, ``threads - 1`` forked processes the others
+    (elsewhere all run in-process); the design and ``stats`` reach them
+    through the fork, so sampler hooks and statistics may be any callables.
     """
     rep = _whole(rep, "rep", 1)
     seed = _whole(seed, "seed", 0)
@@ -390,14 +390,6 @@ def sim_followup(
     bad = set(endpoints) - set(FOLLOWUP_ENDPOINTS)
     if bad:
         raise ValueError(f"unknown follow-up endpoints: {sorted(bad)}")
-    if threads > 1:
-        try:
-            pickle.dumps((design, tuple(stats)))
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ValueError(
-                "with threads > 1, sampler hooks and statistics must be module-level "
-                f"callables that worker processes can import: {exc}"
-            ) from exc
     group_names = [g for g, _ in design.groups] if by_group else []
     payloads = [
         (design, seed, r, at, type, endpoints, tuple(stats), group_names)

@@ -334,6 +334,12 @@ _FIT_RECORD = '"rates": [0.1], "breakpoints": [], "loglik": -5.0, "optimizer": "
                  "bad 'n_obs' field: n_obs must be a whole number, got 10.9", id="fractional_n_obs"),
     pytest.param('{"replicates": [], "nsim": 0, "seed": 1}', "bad 'nsim' field: nsim must be >= 1, got 0",
                  id="boot_nsim_0"),
+    pytest.param('{"replicates": [' + ", ".join(["{" + _FIT_RECORD + ', "n_obs": 10}'] * 4) + '], "nsim": 2, "seed": 1}',
+                 "bad 'nsim' field: 4 replicates and 0 failures exceed nsim 2", id="boot_more_replicates_than_nsim"),
+    pytest.param('{"rates": [0.1], "breakpoints": [], "loglik": -5.0, "n_obs": 10, "optimizer": 5}',
+                 "bad 'optimizer' field: expected one of", id="optimizer_not_a_name"),
+    pytest.param('{"rates": [0.1], "breakpoints": [], "loglik": NaN, "n_obs": 10, "optimizer": "fixed"}',
+                 "bad 'loglik' field: expected a finite number, got nan", id="nan_loglik"),
     pytest.param('{"rates": [0.1]', "Expecting", id="not_json"),
 ])
 @pytest.mark.parametrize("flag", ["--model", "--censor_model"])

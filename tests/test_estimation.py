@@ -889,6 +889,10 @@ class TestFitRecord:
         ({"n_obs": 10.9}, "bad 'n_obs' field: n_obs must be a whole number, got 10.9"),
         ({"n_obs": 0}, "bad 'n_obs' field: n_obs must be >= 1, got 0"),
         ({"warnings": "none"}, "bad 'warnings' field: expected a list, got str"),
+        ({"loglik": float("nan")}, "bad 'loglik' field: expected a finite number, got nan"),
+        ({"loglik": float("-inf")}, "bad 'loglik' field: expected a finite number, got -inf"),
+        ({"optimizer": 5}, "bad 'optimizer' field: expected one of ('bfs', 'ols', 'hybrid', 'fixed'), got 5"),
+        ({"optimizer": "BFS"}, "bad 'optimizer' field: expected one of"),
     ])
     def test_ill_typed_field_named(self, edit, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

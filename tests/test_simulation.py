@@ -20,17 +20,25 @@ def _no_pool(*args, **kwargs):
 
 
 class TestSimFollowupThreads:
-    def test_lambda_hook_rejected_before_pool(self, monkeypatch):
-        design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=lambda n, rng: rng.exponential(10.0, n)))
-        monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
-        with pytest.raises(ValueError, match="module-level callables"):
-            sim_followup(design, at=[5.0], rep=2, seed=0, threads=2)
+    @staticmethod
+    def _assert_forked_matches_serial(design, stats):
+        serial, forked = (sim_followup(design, at=[3.0, 5.0], stats=stats, by_group=True, rep=3, seed=0,
+                                       threads=t) for t in (1, 2))
+        for table in ("overall", "by_group"):
+            a, b = getattr(serial, table), getattr(forked, table)
+            assert a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
-    def test_lambda_statistic_rejected_before_pool(self, monkeypatch):
+    def test_lambda_hook_matches_serial(self):
+        """A sampler hook reaches the workers through the fork, so it need
+        not be picklable."""
+        design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=lambda n, rng: rng.exponential(10.0, n)))
+        self._assert_forked_matches_serial(design, [np.mean])
+
+    def test_lambda_statistic_matches_serial(self):
+        """A statistic reaches the workers through the fork, so it need not
+        be picklable."""
         design = pw.TrialDesign(**DESIGN_KW, dists=pw.ArmModel(event=pw.PweModel((0.1,))))
-        monkeypatch.setattr("pwexp.simulation.parallel_map", _no_pool)
-        with pytest.raises(ValueError, match="module-level callables"):
-            sim_followup(design, at=[5.0], stats=[lambda x: 0.0], rep=2, seed=0, threads=2)
+        self._assert_forked_matches_serial(design, [lambda x: float(np.max(x))])
 
     @pytest.mark.parametrize("threads", [0, -1, 2.5, np.nan, "2"])
     def test_bad_threads_rejected_before_any_trial(self, monkeypatch, threads):
