@@ -58,28 +58,19 @@ def _parse_dist_spec(text: str) -> tuple[str | None, dist.PweModel]:
     return name, model
 
 
+_STATS = {"mean": np.mean, "median": np.median, "sum": np.sum}
+
+
 def _parse_stats(text: str):
     stats = []
-    for name in (t.strip() for t in text.split(",")):
-        if not name:
-            continue
-        if name == "mean":
-            stats.append(np.mean)
-        elif name == "median":
-            stats.append(np.median)
-        elif name == "sum":
-            stats.append(np.sum)
+    for name in filter(None, (t.strip() for t in text.split(","))):
+        if name in _STATS:
+            stats.append(_STATS[name])
         elif name.startswith("prop_"):
             stats.append(prop_above(float(name[len("prop_"):])))
         else:
             raise ValueError(f"unknown statistic {name!r} (use mean, median, sum, prop_<t>)")
     return stats
-
-
-def _write_manifest(out_path: str, subcommand: str, argv: list[str]):
-    with open(f"{out_path}.manifest.json", "w") as fh:
-        json.dump({"subcommand": subcommand, "argv": argv}, fh, indent=2)
-        fh.write("\n")
 
 
 def _load_model(path: str):
@@ -97,9 +88,6 @@ def _add_data_flags(p: argparse.ArgumentParser, calendar: bool = False):
         p.add_argument("--follow-abs-time-col", default="followT_abs")
         p.add_argument("--censor-reason-col", default="censor_reason")
         p.add_argument("--id-col", default="ID")
-
-
-_CALENDAR_COLS = ("rand_time_col", "follow_abs_time_col", "censor_reason_col", "id_col")
 
 
 def _read_data(args, columns=()):
@@ -120,15 +108,9 @@ def _add_fitconfig_flags(p: argparse.ArgumentParser):
 
 def _config_from(args) -> FitConfig:
     exclude = tuple(_parse_floats(args.exclude_int)) if args.exclude_int else None
-    return FitConfig(
-        nbreak=args.nbreak,
-        fixed_breakpoints=tuple(_parse_floats(args.fixed_breakpoints)),
-        optimizer=args.optimizer,
-        max_set=args.max_set,
-        min_pt_tail=args.min_pt_tail,
-        exclude_int=exclude,
-        seed=args.seed,
-    )
+    return FitConfig(nbreak=args.nbreak, fixed_breakpoints=tuple(_parse_floats(args.fixed_breakpoints)),
+                     optimizer=args.optimizer, max_set=args.max_set, min_pt_tail=args.min_pt_tail,
+                     exclude_int=exclude, seed=args.seed)
 
 
 def _add_design_flags(p: argparse.ArgumentParser):
@@ -155,10 +137,7 @@ def _design_from(args) -> TrialDesign:
     if None in events:
         dists: ArmModel | dict = ArmModel(event=events[None], death=deaths.get(None))
     else:
-        dists = {
-            g: ArmModel(event=events[g], death=deaths.get(g))
-            for g, _ in groups
-        }
+        dists = {g: ArmModel(event=events[g], death=deaths.get(g)) for g, _ in groups}
         missing = [g for g, _ in groups if g not in events]
         if missing:
             raise ValueError(f"no --event spec for groups {missing}")
@@ -185,11 +164,6 @@ def _print_fit_summary(res: FitResult, file=None):
     print(" ".join(c.rjust(w) for c, w in zip(cells, widths)), file=file)
 
 
-def _write_curve_csv(path, model, upto: float, points: int = 200):
-    ts = np.linspace(0.0, upto, points + 1)
-    write_table(path, {"time": ts, "survival": np.atleast_1d(dist.survival(model, ts))})
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners: each is a generator that yields every output path
 # right after writing it, so that main writes the path's manifest
@@ -197,25 +171,13 @@ def _write_curve_csv(path, model, upto: float, points: int = 200):
 
 def _cmd_dist(args):
     model = dist.PweModel(tuple(_parse_floats(args.rates)), tuple(_parse_floats(args.breaks)))
-    fn = {
-        "survival": dist.survival,
-        "density": dist.density,
-        "cdf": dist.cdf,
-        "hazard": dist.hazard,
-        "quantile": dist.quantile,
-    }[args.fn]
     at = np.asarray(_parse_floats(args.at))
-    if args.given is not None:
-        cond = {
-            "survival": dist.conditional_survival,
-            "cdf": dist.conditional_cdf,
-            "quantile": dist.conditional_quantile,
-        }
-        if args.fn not in cond:
-            raise ValueError(f"--given supports survival, cdf, quantile; not {args.fn}")
-        vals = np.atleast_1d(cond[args.fn](model, at, args.given))
+    if args.given is None:
+        vals = np.atleast_1d(getattr(dist, args.fn)(model, at))
+    elif args.fn in ("survival", "cdf", "quantile"):
+        vals = np.atleast_1d(getattr(dist, f"conditional_{args.fn}")(model, at, args.given))
     else:
-        vals = np.atleast_1d(fn(model, at))
+        raise ValueError(f"--given supports survival, cdf, quantile; not {args.fn}")
     if args.out:
         write_table(args.out, {"at": at, "value": vals})
         yield args.out
@@ -232,7 +194,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_cut(args):
-    data = _read_data(args, _CALENDAR_COLS)
+    data = _read_data(args, ("rand_time_col", "follow_abs_time_col", "censor_reason_col", "id_col"))
     out = cut_data(data, args.cut)
     write_table(args.out, {
         args.id_col: out.ids if out.ids is not None else np.arange(1, len(out) + 1),
@@ -261,7 +223,8 @@ def _cmd_fit(args):
         res.save_json(args.out)
         yield args.out
     if args.curve_out:
-        _write_curve_csv(args.curve_out, res.model, upto=float(data.time.max()))
+        ts = np.linspace(0.0, float(data.time.max()), 201)
+        write_table(args.curve_out, {"time": ts, "survival": np.atleast_1d(dist.survival(res.model, ts))})
         yield args.curve_out
 
 
@@ -334,11 +297,7 @@ def _cmd_followup(args):
         yield group_out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="pwexp", description=__doc__)
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("dist", help="evaluate a PWE distribution")
+def _dist_flags(p: argparse.ArgumentParser):
     p.add_argument("--rates", required=True)
     p.add_argument("--breaks", "--breakpoints", default="")
     p.add_argument("--at", required=True)
@@ -346,53 +305,43 @@ def build_parser() -> argparse.ArgumentParser:
                    help="condition on survival past this time")
     p.add_argument("--out", default=None)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--survival", dest="fn", action="store_const", const="survival")
-    g.add_argument("--density", dest="fn", action="store_const", const="density")
-    g.add_argument("--cdf", dest="fn", action="store_const", const="cdf")
-    g.add_argument("--hazard", dest="fn", action="store_const", const="hazard")
-    g.add_argument("--quantile", dest="fn", action="store_const", const="quantile")
-    p.set_defaults(fn="survival", runner=_cmd_dist)
+    for fn in ("survival", "density", "cdf", "hazard", "quantile"):
+        g.add_argument(f"--{fn}", dest="fn", action="store_const", const=fn)
+    p.set_defaults(fn="survival")
 
-    p = sub.add_parser("simulate", help="generate a synthetic trial CSV")
+
+def _simulate_flags(p: argparse.ArgumentParser):
     _add_design_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_simulate)
 
-    p = sub.add_parser("cut", help="re-censor a trial at a cut-off time")
+
+def _cut_flags(p: argparse.ArgumentParser):
     _add_data_flags(p, calendar=True)
     p.add_argument("--cut", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_cut)
 
-    p = sub.add_parser("km", help="Kaplan-Meier curve table")
+
+def _km_flags(p: argparse.ArgumentParser):
     _add_data_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_km)
 
-    p = sub.add_parser("fit", help="fit a PWE model")
+
+def _fit_flags(p: argparse.ArgumentParser):
     _add_data_flags(p)
     _add_fitconfig_flags(p)
     p.add_argument("--out", default=None, help="write FitResult JSON here")
     p.add_argument("--curve-out", default=None, help="write fitted survival curve CSV")
-    p.set_defaults(runner=_cmd_fit)
 
-    p = sub.add_parser("boot", help="bootstrap a PWE fit")
+
+def _resample_flags(p: argparse.ArgumentParser):
     _add_data_flags(p)
     _add_fitconfig_flags(p)
     p.add_argument("--nsim", type=int, required=True)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_boot)
 
-    p = sub.add_parser("cv", help="cross-validated log-likelihood")
-    _add_data_flags(p)
-    _add_fitconfig_flags(p)
-    p.add_argument("--nsim", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_cv)
 
-    p = sub.add_parser("predict", help="predict future events or timelines")
+def _predict_flags(p: argparse.ArgumentParser):
     _add_data_flags(p, calendar=True)
     p.add_argument("--model", required=True, help="FitResult or BootFit JSON")
     p.add_argument("--censor_model", default=None)
@@ -416,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
-    p.set_defaults(runner=_cmd_predict)
 
-    p = sub.add_parser("followup", help="design-stage follow-up simulation")
+
+def _followup_flags(p: argparse.ArgumentParser):
     _add_design_flags(p)
     p.add_argument("--at", required=True)
     p.add_argument("--type", choices=FOLLOWUP_TYPES, default="calendar")
@@ -430,17 +379,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.add_argument("--group_out", default=None)
-    p.set_defaults(runner=_cmd_followup)
 
+
+# (name, help, flag adder, runner) of every subcommand, in the order help lists them
+_SUBCOMMANDS = (
+    ("dist", "evaluate a PWE distribution", _dist_flags, _cmd_dist),
+    ("simulate", "generate a synthetic trial CSV", _simulate_flags, _cmd_simulate),
+    ("cut", "re-censor a trial at a cut-off time", _cut_flags, _cmd_cut),
+    ("km", "Kaplan-Meier curve table", _km_flags, _cmd_km),
+    ("fit", "fit a PWE model", _fit_flags, _cmd_fit),
+    ("boot", "bootstrap a PWE fit", _resample_flags, _cmd_boot),
+    ("cv", "cross-validated log-likelihood", _resample_flags, _cmd_cv),
+    ("predict", "predict future events or timelines", _predict_flags, _cmd_predict),
+    ("followup", "design-stage follow-up simulation", _followup_flags, _cmd_followup),
+)
+_NAMES = [name for name, *_ in _SUBCOMMANDS]
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``pwexp`` parser with every subcommand, or with just ``only`` and a
+    usage that still names them all. The whole parser keeps the default
+    metavar, so a call that names no subcommand reports the missing ``cmd``."""
+    top = argparse.ArgumentParser(prog="pwexp", description=__doc__)
+    metavar = None if only is None else "{" + ",".join(_NAMES) + "}"
+    sub = top.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name, summary, add_flags, runner in _SUBCOMMANDS:
+        if only in (None, name):
+            p = sub.add_parser(name, help=summary)
+            add_flags(p)
+            p.set_defaults(runner=runner)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``pwexp`` command; 0, or 1 after an error line. Each output
+    gets a manifest. Only the subparser that ``argv[0]`` names is built (all
+    of them when it names none); help and usage read the same either way."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv[:1] and argv[0] in _NAMES else None).parse_args(argv)
     try:
         for path in args.runner(args):
-            _write_manifest(path, args.cmd, argv)
+            with open(f"{path}.manifest.json", "w") as fh:
+                json.dump({"subcommand": args.cmd, "argv": argv}, fh, indent=2)
+                fh.write("\n")
     except (PwexpError, ValueError, OSError) as exc:
         print(f"pwexp {args.cmd}: error: {exc}", file=sys.stderr)
         return 1

@@ -115,15 +115,33 @@ def _list(value) -> list:
     return value
 
 
+def _number(value, problem: str):
+    """``value`` if it is a JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{problem}, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    x = float(value)  # first, so that text that is no number keeps float's message
+    _number(value, "expected a number")
+    return x
+
+
 def _floats(value) -> tuple[float, ...]:
-    return tuple(float(v) for v in _list(value))
+    return tuple(map(_real, _list(value)))
 
 
 def _finite(value) -> float:
-    x = float(value)
+    x = _real(value)
     if not np.isfinite(x):
         raise ValueError(f"expected a finite number, got {x}")
     return x
+
+
+def _count(name: str, least: int):
+    """The reader of a whole-number field: a JSON number that ``_whole`` takes."""
+    return lambda value: _whole(_number(value, f"{name} must be a whole number"), name, least)
 
 
 def _optimizer(value) -> str:
@@ -194,7 +212,7 @@ class FitResult(_JsonRecord):
         return cls(
             model=PweModel(_field(d, "rates", _floats), _field(d, "breakpoints", _floats)),
             loglik=_field(d, "loglik", _finite),
-            n_obs=_field(d, "n_obs", lambda v: _whole(v, "n_obs", 1)),
+            n_obs=_field(d, "n_obs", _count("n_obs", 1)),
             optimizer=_field(d, "optimizer", _optimizer),
             warnings=list(_field(d, "warnings", _list, [])),
         )

@@ -7,8 +7,8 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import NoFeasibleModelError, _whole
-from .estimation import (FitConfig, FitResult, _JsonRecord, _check_sample, _field, _fit_batch, _list, fit,
-                         loglik)
+from .estimation import (FitConfig, FitResult, _JsonRecord, _check_sample, _count, _field, _fit_batch, _list,
+                         fit, loglik)
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
 
@@ -57,7 +57,7 @@ class BootFit(_JsonRecord):
         failures = list(_field(d, "failures", _list, []))
 
         def nsim(value) -> int:
-            nsim = _whole(value, "nsim", 1)
+            nsim = _count("nsim", 1)(value)
             if len(replicates) + len(failures) > nsim:
                 raise ValueError(f"{len(replicates)} replicates and {len(failures)} failures "
                                  f"exceed nsim {nsim}")
@@ -67,7 +67,7 @@ class BootFit(_JsonRecord):
             replicates=replicates,
             config=None,
             nsim=_field(d, "nsim", nsim),
-            seed=_field(d, "seed", lambda v: _whole(v, "seed", 0)),
+            seed=_field(d, "seed", _count("seed", 0)),
             base=_field(d, "base", lambda v: None if v is None else FitResult.from_dict(v), None),
             failures=failures,
         )

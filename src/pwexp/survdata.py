@@ -251,7 +251,9 @@ def _format_column(arr: np.ndarray) -> list[str]:
         return cells
     if kind in "biu":
         return list(map(str, arr.tolist()))
-    return _quote_minimal([_format_cell(v) for v in arr.tolist()])
+    if kind == "U":
+        return _quote_minimal(arr.tolist())
+    return _quote_minimal([v if type(v) is str else _format_cell(v) for v in arr.tolist()])
 
 
 def _lines(columns: list[list[str]]) -> str:
@@ -276,12 +278,12 @@ def write_table(path, columns: Mapping[str, Sequence]) -> None:
     so the bytes are those ``csv.writer`` would write.
 
     Cost: one ``repr`` per float cell and one ``str`` per integer or bool
-    cell, in a pass over ``tolist()``; only other columns (text, objects)
-    take a per-cell call and the scan for quoting. Rows are joined with
-    ``str.join`` and each block of ``_WRITE_BLOCK_ROWS`` rows is one write,
-    which keeps the formatted text's memory bounded; no csv module is used.
-    A column that is not 1-D or columns of different lengths raise
-    ``ValueError``.
+    cell, in a pass over ``tolist()``. A text (``U``) column's ``tolist()``
+    goes straight to the scan for quoting; of an object column, only cells
+    that are not ``str`` take a formatting call. Rows are joined with
+    ``str.join``, and each block of ``_WRITE_BLOCK_ROWS`` rows is one write
+    (bounded memory; no csv module). A column that is not 1-D or columns of
+    different lengths raise ``ValueError``.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     for name, a in zip(columns, arrays):
@@ -314,6 +316,10 @@ def read_survival_csv(
     The header is the first line that is not blank. Cells may be quoted,
     blank lines are skipped, only the requested columns are parsed, and a
     malformed cell or a short row raises ``ValueError``.
+
+    Cost: the header is read with ``csv``, then one ``np.loadtxt`` pass parses
+    the requested columns into a structured array (float fields, and object
+    fields for the text columns); censor reasons are then stripped cell by cell.
     """
     float_cols = [c for c in (time_col, event_col, rand_time_col, follow_abs_time_col) if c]
     text_cols = [c for c in (censor_reason_col, id_col) if c]
@@ -326,38 +332,32 @@ def read_survival_csv(
         if missing:
             raise ValueError(f"{path}: missing columns {missing}; found {header}")
         position = {name: i for i, name in enumerate(header)}  # the last repeated name wins
-
-        def columns(names, dtype) -> dict[str, np.ndarray]:
-            if not names:
-                return {}
-            fh.seek(0)
-            with warnings.catch_warnings():
-                # a header-only file is an empty sample; blank lines are skipped
-                warnings.filterwarnings("ignore", r"loadtxt: input contained no data|Input line")
-                try:
-                    # comments=None: the default "#" would cut a cell such as "#3"
-                    table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                       comments=None, skiprows=reader.line_num,
-                                       usecols=[position[c] for c in names], ndmin=2)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from None
-            # with no data rows, ndmin=2 may give shape (0, 1) whatever usecols holds
-            return dict(zip(names, table.reshape(-1, len(names)).T))
-
-        floats, texts = columns(float_cols, float), columns(text_cols, str)
+        fields = [(c, float) for c in float_cols] + [(c, object) for c in text_cols]
+        fh.seek(0)
+        with warnings.catch_warnings():
+            # a header-only file is an empty sample; blank lines are skipped
+            warnings.filterwarnings("ignore", r"loadtxt: input contained no data|Input line")
+            try:
+                # comments=None: the default "#" would cut a cell such as "#3"
+                table = np.loadtxt(fh, dtype=[(f"f{i}", kind) for i, (_, kind) in enumerate(fields)],
+                                   delimiter=",", quotechar='"', comments=None, skiprows=reader.line_num,
+                                   usecols=[position[c] for c, _ in fields], ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    column = {key: table[f"f{i}"] for i, key in enumerate(fields)}
+    floats = {c: np.ascontiguousarray(column[c, float]) for c in float_cols}
     event = floats[event_col]
     if not np.isin(event, (0.0, 1.0)).all():
         raise ValueError(f"{path}: {event_col} cells must be 0 or 1")
     reasons = None
     if censor_reason_col is not None:
-        stripped = np.char.strip(texts[censor_reason_col])
-        reasons = stripped.astype(object)
-        reasons[np.isin(stripped, ("", "NA"))] = None
+        stripped = (c.strip() for c in column[censor_reason_col, object].tolist())
+        reasons = np.array([None if c in ("", "NA") else c for c in stripped], dtype=object)
     return SurvSample(
         time=floats[time_col],
         event=event.astype(np.int8),
         rand_time=floats.get(rand_time_col),
         follow_abs_time=floats.get(follow_abs_time_col),
         censor_reason=reasons,
-        ids=texts.get(id_col),
+        ids=None if id_col is None else column[id_col, object].astype(str),
     )

@@ -5,8 +5,10 @@ Each command must exit 0 and leave one ``<output>.manifest.json`` per file
 it writes, and nothing else; ``predict --model`` on a malformed JSON file
 must exit 1 with an error line and no traceback. ``boot`` and ``followup
 --by_group`` must write the same bytes with ``--threads 2`` as with
-``--threads 1``, and no command may leave a process running. Needs no
-install:
+``--threads 1``, and no command may leave a process running. ``--help``,
+``fit --help`` and an unrecognized argument after ``km`` must print what
+``build_parser()`` prints in this process, with the same exit code, at a
+terminal width of 80 columns. Needs no install:
 
     PYTHONPATH=src python tests/cli_subprocess.py [WORKDIR]
 
@@ -18,7 +20,10 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,7 +34,7 @@ def pwexp(workdir: Path, *argv: str) -> subprocess.CompletedProcess:
     alive once the command has exited."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     with subprocess.Popen([sys.executable, "-m", "pwexp.cli", *argv], cwd=workdir, start_new_session=True,
-                          env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True) as proc:
         try:
             # returns once every process that holds the command's stdout has ended
@@ -93,11 +98,33 @@ def check(workdir: Path) -> list[str]:
     return problems
 
 
+def check_help(workdir: Path) -> list[str]:
+    """The problems found in help and usage errors: each must match what
+    ``build_parser()`` prints in this process."""
+    sys.path.insert(0, str(SRC))
+    from pwexp.cli import build_parser
+
+    problems = []
+    for argv in (["--help"], ["fit", "--help"], ["km", "--in", "x", "--out", "y", "--bogus", "1"]):
+        out, err = StringIO(), StringIO()
+        with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+            try:
+                build_parser().parse_args(argv)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        run = pwexp(workdir, *argv)
+        if (run.returncode, run.stdout, run.stderr) != (code, out.getvalue(), err.getvalue()):
+            problems.append(f"pwexp {' '.join(argv)} exited {run.returncode} and printed\n{run.stdout}{run.stderr}"
+                            f"where build_parser() exits {code} and prints\n{out.getvalue()}{err.getvalue()}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(argv[0]) if argv else Path(tmp)
         workdir.mkdir(parents=True, exist_ok=True)
-        problems = check(workdir)
+        problems = check(workdir) + check_help(workdir)
     for problem in problems:
         print(problem, file=sys.stderr)
     print("cli subprocess checks:", "FAILED" if problems else "ok")

@@ -70,13 +70,13 @@ def reference_read_survival_csv(path, time_col="time", event_col="event", rand_t
         "rand_time": as_floats(rand_time_col),
         "follow_abs_time": as_floats(follow_abs_time_col),
         "censor_reason": reasons,
-        "ids": np.array(cols[id_col]) if id_col else None,
+        "ids": np.array(cols[id_col], dtype=str) if id_col else None,
     }
 
 
 def assert_same_sample(sample, ref: dict):
     """``sample`` equals the reference reader's fields: float bytes, events,
-    censor reasons, and ids as strings."""
+    censor reasons, and ids as a str array of the reference's dtype."""
     for name in ("time", "rand_time", "follow_abs_time"):
         got, want = getattr(sample, name), ref[name]
         assert (got is None) == (want is None), name
@@ -85,5 +85,6 @@ def assert_same_sample(sample, ref: dict):
     assert np.array_equal(sample.event, ref["event"]) and sample.event.dtype == np.int8
     reasons = None if sample.censor_reason is None else list(sample.censor_reason)
     assert reasons == ref["censor_reason"]
-    ids = None if sample.ids is None else [str(i) for i in sample.ids]
-    assert ids == (None if ref["ids"] is None else [str(i) for i in ref["ids"]])
+    assert (sample.ids is None) == (ref["ids"] is None)
+    if ref["ids"] is not None:
+        assert sample.ids.dtype == ref["ids"].dtype and sample.ids.tolist() == ref["ids"].tolist()

@@ -341,6 +341,16 @@ _FIT_RECORD = '"rates": [0.1], "breakpoints": [], "loglik": -5.0, "optimizer": "
     pytest.param('{"rates": [0.1], "breakpoints": [], "loglik": NaN, "n_obs": 10, "optimizer": "fixed"}',
                  "bad 'loglik' field: expected a finite number, got nan", id="nan_loglik"),
     pytest.param('{"rates": [0.1]', "Expecting", id="not_json"),
+    pytest.param('{"rates": ["0.1"], "breakpoints": [], "loglik": -5.0, "n_obs": 10, "optimizer": "fixed"}',
+                 "bad 'rates' field: expected a number, got '0.1'", id="rate_as_text"),
+    pytest.param('{"rates": [0.1], "breakpoints": [], "loglik": "-5", "n_obs": 10, "optimizer": "fixed"}',
+                 "bad 'loglik' field: expected a number, got '-5'", id="loglik_as_text"),
+    pytest.param("{" + _FIT_RECORD + ', "n_obs": true}',
+                 "bad 'n_obs' field: n_obs must be a whole number, got True", id="n_obs_as_bool"),
+    pytest.param('{"replicates": [], "nsim": true, "seed": 1}',
+                 "bad 'nsim' field: nsim must be a whole number, got True", id="boot_nsim_as_bool"),
+    pytest.param('{"replicates": [], "nsim": 1, "seed": false}',
+                 "bad 'seed' field: seed must be a whole number, got False", id="boot_seed_as_bool"),
 ])
 @pytest.mark.parametrize("flag", ["--model", "--censor_model"])
 def test_predict_rejects_a_malformed_model(workdir, cut_sample, tmp_path, capsys, text, problem, flag):
@@ -579,7 +589,8 @@ def _tables(draw):
         "int64": (st.integers(-2**63, 2**63 - 1), np.int64),
         "bool": (st.booleans(), bool),
         "str": (_TEXT, str),
-        "object": (_TEXT | _FLOATS | st.integers() | st.none(), object),
+        "quoted str": (_TEXT.map(lambda t: f'"{t},'), str),
+        "object": (_TEXT | _FLOATS | st.integers() | st.booleans() | st.none(), object),
         "empty": (st.just(""), object),
     }
     kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=3))
@@ -657,6 +668,81 @@ def test_float_columns_round_trip_exactly(roundtrip_path, rows):
     assert back.rand_time.tobytes() == rand.astype(float).tobytes()
     assert np.array_equal(back.event, event)
     assert list(back.censor_reason) == list(reason)
+
+
+SUBCOMMANDS = ("dist", "simulate", "cut", "km", "fit", "boot", "cv", "predict", "followup")
+# argv lists of this suite's commands, at least one per subcommand; parsing opens no file
+SUITE_ARGVS = [
+    ["dist", "--rates", "0.1,0.2", "--breaks", "5", "--at", "1,6", "--given", "1", "--cdf", "--out", "d.csv"],
+    ["dist", "--rates", "0.1", "--at", "1"],
+    ["simulate", *DESIGN_ARGS, "--out", "trial.csv"],
+    ["simulate", "--event", "0.1", "--seed", str(SEED), "--n_rand", "15,15.0,21", "--out", "trial.csv"],
+    ["cut", "--in", "trial.csv", "--cut", str(CUT), "--out", "cut.csv"],
+    ["km", "--in", "cut.csv", "--out", "km.csv"],
+    ["fit", "--in", "cut.csv", "--nbreak", "1", "--optimizer", "ols", "--seed", str(SEED),
+     "--out", "fit.json", "--curve-out", "curve.csv"],
+    ["boot", "--in", "cut.csv", "--nbreak", "1", "--optimizer", "bfs", "--nsim", "4", "--threads", "2",
+     "--seed", str(SEED), "--out", "boot.json"],
+    ["cv", "--in", "cut.csv", "--nbreak", "1", "--optimizer", "bfs", "--nsim", "3", "--seed", str(SEED),
+     "--out", "cv.csv"],
+    ["predict", "--in", "cut.csv", "--model", "boot.json", "--censor_model", "fit.json",
+     "--analysis_time", str(CUT), "--n_remaining", "6", "--monthly_counts", "2,0,3,4", "--n_each", "20",
+     "--kind", "predictive", "--eval_at", "21,22.5", "--timeline_at", "50", "--timeline_out", "t.csv",
+     "--seed", str(SEED), "--out", "interval.csv"],
+    ["predict", "--in", "slim.csv", "--id-col", "absent", "--follow-abs-time-col", "absent", "--model", "fit.json",
+     "--analysis_time", str(CUT), "--xyswitch", "--eval_at", "100", "--seed", str(SEED), "--out", "timeline.csv"],
+    ["followup", *DESIGN_ARGS, "--at", "10,25", "--stat", "mean,median,prop_5", "--by_group", "--rep", "3",
+     "--threads", "2", "--out", "followup.csv"],
+]
+
+
+def _exit_output(parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit:
+        parse(argv)
+    return exit.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", SUITE_ARGVS, ids=lambda argv: argv[0])
+def test_one_subcommand_parser_parses_as_the_whole(argv):
+    assert {c for c, *_ in SUITE_ARGVS} == set(SUBCOMMANDS)
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_one_subcommand_parser_helps_as_the_whole(cmd, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = _exit_output(build_parser().parse_args, [cmd, "--help"])
+    assert whole[0] == 0 and whole[1].startswith(f"usage: pwexp {cmd} [-h]") and not whole[2]
+    assert _exit_output(build_parser(cmd).parse_args, [cmd, "--help"]) == whole
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["km", "--in", "x"], ["predict", "--kind", "both"],
+    # the top-level usage of a one-subcommand parser must still name every subcommand
+    ["km", "--in", "x", "--out", "y", "--bogus", "1"],
+], ids=["none", "help", "bogus", "missing_flag", "bad_choice", "unrecognized"])
+def test_main_prints_what_the_whole_parser_prints(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = _exit_output(build_parser().parse_args, argv)
+    assert _exit_output(main, argv) == whole
+    assert whole[0] == (0 if argv == ["--help"] else 2)
+    if not argv:  # the whole parser names a missing subcommand by its dest
+        assert whole[2].endswith("pwexp: error: the following arguments are required: cmd\n")
+
+
+def test_main_builds_one_subparser_for_a_known_subcommand(monkeypatch, tmp_path, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert main(["dist", "--rates", "0.1", "--at", "1,2", "--out", str(tmp_path / "d.csv")]) == 0
+    assert built == ["dist"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(SUBCOMMANDS)
 
 
 def test_public_names_and_flags_are_pinned():

@@ -893,6 +893,13 @@ class TestFitRecord:
         ({"loglik": float("-inf")}, "bad 'loglik' field: expected a finite number, got -inf"),
         ({"optimizer": 5}, "bad 'optimizer' field: expected one of ('bfs', 'ols', 'hybrid', 'fixed'), got 5"),
         ({"optimizer": "BFS"}, "bad 'optimizer' field: expected one of"),
+        # JSON strings and booleans are not numbers
+        ({"rates": ["0.1"]}, "bad 'rates' field: expected a number, got '0.1'"),
+        ({"breakpoints": [True]}, "bad 'breakpoints' field: expected a number, got True"),
+        ({"loglik": "-5"}, "bad 'loglik' field: expected a number, got '-5'"),
+        ({"loglik": False}, "bad 'loglik' field: expected a number, got False"),
+        ({"n_obs": True}, "bad 'n_obs' field: n_obs must be a whole number, got True"),
+        ({"n_obs": "10"}, "bad 'n_obs' field: n_obs must be a whole number, got '10'"),
     ])
     def test_ill_typed_field_named(self, edit, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

@@ -165,6 +165,8 @@ class TestBootFit:
         ({"failures": "none"}, "bad 'failures' field: expected a list, got str"),
         ({"nsim": 1}, "bad 'nsim' field: 2 replicates and 0 failures exceed nsim 1"),
         ({"failures": ["replicate 2: no events"]}, "bad 'nsim' field: 2 replicates and 1 failures exceed nsim 2"),
+        ({"seed": False}, "bad 'seed' field: seed must be a whole number, got False"),
+        ({"nsim": True}, "bad 'nsim' field: nsim must be a whole number, got True"),
     ])
     def test_reader_names_a_bad_field(self, small_train, edit, message):
         d = boot_fit(small_train, FitConfig(nbreak=0, seed=2), nsim=2, seed=11).to_dict()

@@ -281,6 +281,25 @@ class TestCsv:
         with pytest.raises(ValueError, match="d.csv"):
             read_survival_csv(path)
 
+    @pytest.mark.parametrize("kw", [
+        {},
+        dict(censor_reason_col="why"),
+        dict(id_col="ID"),
+        dict(rand_time_col="rt", follow_abs_time_col="fab", censor_reason_col="why", id_col="ID"),
+        dict(rand_time_col="time", censor_reason_col="why", id_col="why"),
+    ], ids=["time_event", "reason", "ids", "all", "twice"])
+    @pytest.mark.parametrize("text", ["time,event,rt,fab,why,ID\n1.5,1,0.5,2.0,NA,a\n", "time,event,rt,fab,why,ID\n"],
+                             ids=["rows", "header_only"])
+    def test_one_loadtxt_pass_per_read(self, tmp_path, monkeypatch, kw, text):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        s = read_survival_csv(path, **kw)
+        assert len(calls) == 1
+        assert s.ids is None or s.ids.dtype.kind == "U"
+
     def test_hash_is_not_a_comment(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('time,event,ID,why\n1.5,1,#3,#a\n2.5,0,"#4,x", # b \n')
@@ -348,6 +367,11 @@ def survival_tables(draw):
             kw[key] = col
     if np.isinf(time).any():  # an infinite time needs its never_event reason
         kw["censor_reason_col"] = "why"
+    # the same column asked for twice: as two float columns, or as two text columns
+    if draw(st.booleans()):
+        kw["rand_time_col"] = "time"
+    if kw.get("censor_reason_col") and draw(st.booleans()):
+        kw["id_col"] = "why"
     return text, kw
 
 
