@@ -520,6 +520,32 @@ def _segmented_design(x, ramps, steps=()):
 _MAX_GRAM_COND = 1e12
 
 
+def _well_conditioned(scaled: np.ndarray) -> np.ndarray:
+    """Whether the largest ``eigvalsh`` eigenvalue of each unit-diagonal Gram
+    matrix of the stack ``scaled`` (n, k, k) is below ``_MAX_GRAM_COND``
+    times its smallest.
+
+    A batched determinant decides most matrices at a fraction of the cost
+    of ``eigvalsh``: the trace is k, so with eigenvalues >= 0 the largest is
+    at most k, and by AM-GM the other k - 1 multiply to at most
+    (k / (k - 1))^(k - 1) < e, so the smallest exceeds det / e; det > 4 e k /
+    ``_MAX_GRAM_COND`` thus certifies a condition number below a quarter of
+    the rule's. The factor 4 absorbs the rounding of the LU determinant and
+    of ``eigvalsh`` (about 1e-15 k on each eigenvalue, against a smallest
+    one above 4e-12 k), so ``eigvalsh`` accepts every certified matrix too.
+    A rounded Gram may be indefinite: one negative eigenvalue makes det
+    negative, and a pair of size d bounds det by about e^2 d^2 (AM-GM over
+    the rest), below the certificate unless d exceeds 1e-6, far above
+    rounding. Matrices left open, NaN ones too, go to ``eigvalsh``.
+    """
+    good = np.linalg.det(scaled) > 4.0 * np.e * scaled.shape[-1] / _MAX_GRAM_COND
+    rest = np.flatnonzero(~good)
+    if len(rest):
+        eig = np.linalg.eigvalsh(scaled[rest])
+        good[rest] = eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
+    return good
+
+
 class _LineSums:
     """Batched least squares of y on [x, ramps (x - a)_+, steps 1(x > a)],
     for one or more lines (x, y), sorted by x, stacked in one table.
@@ -591,7 +617,9 @@ class _LineSums:
 
         A column with no point past its threshold gets a zero coefficient,
         the minimum-norm solution that ``lstsq`` gives; a system conditioned
-        worse than ``_MAX_GRAM_COND`` is solved by ``lstsq`` itself.
+        worse than ``_MAX_GRAM_COND`` is solved by ``lstsq`` itself. One
+        batched determinant certifies most systems well conditioned; only
+        the rest pay for ``eigvalsh``, which decides them by the same rule.
         """
         n, n_ramp = ramps.shape
         if steps is None:
@@ -618,8 +646,7 @@ class _LineSums:
         live = diag > 0.0
         s = np.where(live, 1.0 / np.sqrt(np.where(live, diag, 1.0)), 0.0)
         scaled = gram * s[:, :, None] * s[:, None, :] + np.eye(len(r)) * ~live[:, None, :]
-        eig = np.linalg.eigvalsh(scaled)
-        good = eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
+        good = _well_conditioned(scaled)
         scaled[~good] = np.eye(len(r))  # solved below by lstsq instead
         coef = s * np.linalg.solve(scaled, (s * rhs)[:, :, None])[:, :, 0]
         sse = self.yy[line] - np.einsum("bi,bi->b", coef, rhs)
@@ -905,7 +932,7 @@ class _OlsSearch:
 
         total = int(np.prod([len(s) for s in sets], dtype=object))
         if total <= 4 * config.max_set:
-            rows = np.array(list(itertools.product(*sets)), dtype=float)
+            rows = _product_rows(sets)
         else:
             picks = [s[rng.integers(0, len(s), size=config.max_set)] for s in sets]
             rows = np.column_stack(picks)
@@ -962,6 +989,12 @@ def _segmented_record(seg: SegmentedFit) -> dict:
 def _nearest(values: np.ndarray, target: float, k: int = 1) -> np.ndarray:
     order = np.argsort(np.abs(values - target), kind="stable")
     return values[np.sort(order[:k])]
+
+
+def _product_rows(sets: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of ``itertools.product(*sets)``, in its order, as one
+    (rows, len(sets)) array."""
+    return np.stack(np.meshgrid(*sets, indexing="ij", copy=False), axis=-1).reshape(-1, len(sets))
 
 
 def _snap_row(cands: np.ndarray, psi: Sequence[float]) -> np.ndarray | None:
@@ -1058,7 +1091,10 @@ def _start_search(data: SurvSample, config: FitConfig) -> tuple[_OlsSearch, list
 # (about 0.16 MB). So memory is bounded whatever the number of fits, and
 # larger blocks share more of the lockstep's per-iteration cost; at 8,000
 # subjects blocks of 16 and 32 were not measurably faster than 10 and raised
-# the traced peak 1.5x and 3x.
+# the traced peak 1.5x and 3x. A bootstrap's first block holds one fit more,
+# the base sample's, on top of a full block of replicates: with the base
+# taking one of ten places, ten replicates would spill one into a lockstep
+# of its own.
 _BLOCK = 10
 
 
@@ -1066,7 +1102,9 @@ def _fit_batch(build, items):
     """:func:`fit` of ``build(key)`` under ``config`` for each ``(key,
     config)`` item, yielding ``(key, result)`` in input order.
 
-    Items are pulled ``_BLOCK`` at a time, and a block's ``ols`` and
+    Items are pulled ``_BLOCK`` at a time and each block is fitted by
+    :func:`_fit_block` (the bootstrap calls it directly for a first block
+    that also holds its base fit): a block's ``ols`` and
     ``hybrid`` fits run their segmented regressions in one lockstep per
     number of free and fixed change-points (cleaning may drop fixed ones).
     ``build`` must give equal samples for equal keys: it is called when a
@@ -1088,6 +1126,8 @@ def _fit_batch(build, items):
 
 
 def _fit_block(build, block: list) -> list:
+    """The ``(key, result)`` of each ``(key, config)`` item of ``block``, in
+    order, fitted as one block of :func:`_fit_batch`."""
     out: list = [None] * len(block)
     groups: dict[tuple[int, int], list] = {}
     for i, (key, config) in enumerate(block):

@@ -1,14 +1,16 @@
 """Bootstrap parameter uncertainty and cross-validated log-likelihood."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import estimation
 from ._parallel import parallel_map
 from .errors import NoFeasibleModelError, _whole
-from .estimation import (FitConfig, FitResult, _JsonRecord, _check_sample, _count, _field, _fit_batch, _list,
-                         fit, loglik)
+from .estimation import (FitConfig, FitResult, _JsonRecord, _check_sample, _count, _field, _fit_batch, _fit_block,
+                         _list, loglik)
 from .rng import derive_rng, derive_seed
 from .survdata import SurvSample, write_table
 
@@ -96,22 +98,31 @@ def _resample_indices(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _chunks(data: SurvSample, nsim: int, threads: int, *args) -> list:
-    """One payload per worker: the sample's time and event columns only,
-    ``args``, and a contiguous run of replicate numbers."""
+    """One payload per worker: the sample, ``args``, and a contiguous run of
+    replicate numbers. Forked workers get it through the fork, unpickled."""
     runs = np.array_split(np.arange(nsim), min(threads, nsim))
-    return [(data.time, data.event, *args, run) for run in runs]
+    return [(data, *args, run) for run in runs]
 
 
 def _boot_chunk(payload) -> list:
-    time, event, config, seed, run = payload
+    """``(ok, fit or failure text)`` per replicate of the run. The run that
+    starts at replicate 0 also fits the base sample, keyed ``None``, in its
+    first block, on top of a full block of replicates; its result (the fit,
+    or the exception that :func:`fit` raises) comes first."""
+    data, config, seed, run = payload
+    time, event = data.time, data.event
 
     def resample(b):
+        if b is None:
+            return data
         idx = _resample_indices(derive_rng(seed, 1, b), len(time))
         return SurvSample(time[idx], event[idx])
 
     items = ((b, replace(config, seed=derive_seed(seed, 2, b))) for b in run)
-    return [(True, res) if isinstance(res, FitResult) else (False, f"replicate {b}: {res}")
-            for b, res in _fit_batch(resample, items)]
+    first = [(None, config), *itertools.islice(items, estimation._BLOCK)] if run[0] == 0 else []
+    fits = itertools.chain(_fit_block(resample, first), _fit_batch(resample, items))
+    return [res if b is None else (True, res) if isinstance(res, FitResult)
+            else (False, f"replicate {b}: {res}") for b, res in fits]
 
 
 def boot_fit(
@@ -124,20 +135,24 @@ def boot_fit(
     runs: the caller fits the first and, on Linux, ``threads - 1`` forked
     processes fit the others (elsewhere the caller fits them all). Each run
     is fitted in blocks by :func:`~pwexp.estimation._fit_batch`, which draws
-    a resample again from its stream rather than keep it. Every replicate's
-    fit is the one :func:`fit` gives on its resample, so the result is
-    identical for any ``threads``. Replicates whose fit raises
-    :class:`EmptyPieceError` or :class:`NoFeasibleModelError` are recorded
-    in ``failures`` and skipped; more than 50% failures raises
-    :class:`NoFeasibleModelError`, as does an infeasible fit on the original
-    data. Any other exception propagates.
+    a resample again from its stream rather than keep it. The fit on
+    ``data`` itself, ``base``, joins the caller's first block, so an ``ols``
+    or ``hybrid`` base shares that block's segmented lockstep, and it is
+    computed while the forked processes fit theirs. Every fit is the one
+    :func:`fit` gives on its sample, so the result is identical for any
+    ``threads``. An infeasible base raises what :func:`fit` raises on
+    ``data`` (:class:`EmptyPieceError` or :class:`NoFeasibleModelError`).
+    Replicates whose fit raises one of those are recorded in ``failures``
+    and skipped; more than 50% failures then raises
+    :class:`NoFeasibleModelError`. Any other exception propagates.
     """
     nsim = _whole(nsim, "nsim", 1)
     seed = _whole(seed, "seed", 0)
     threads = _whole(threads, "threads", 1)
-    base = fit(data, config)
-    out = [r for chunk in parallel_map(_boot_chunk, _chunks(data, nsim, threads, config, seed), threads)
-           for r in chunk]
+    base, *out = [r for chunk in parallel_map(_boot_chunk, _chunks(data, nsim, threads, config, seed), threads)
+                  for r in chunk]
+    if not isinstance(base, FitResult):
+        raise base
     replicates = [val for ok, val in out if ok]
     failures = [val for ok, val in out if not ok]
     if len(failures) > nsim / 2:
@@ -180,7 +195,8 @@ def _cv_chunk(payload) -> list:
     split drawn as the batch reaches it, so that at most one block of masks
     exists; a failed training fit is redrawn from the repetition's own
     stream."""
-    time, event, config, seed, frac, run = payload
+    data, config, seed, frac, run = payload
+    time, event = data.time, data.event
     rngs = {i: derive_rng(seed, 3, i) for i in run}
     done, last = {}, {}
 

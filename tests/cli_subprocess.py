@@ -3,9 +3,11 @@ boot -> predict, each through ``python -m pwexp.cli`` in its own process.
 
 Each command must exit 0 and leave one ``<output>.manifest.json`` per file
 it writes, and nothing else; ``predict --model`` on a malformed JSON file
-must exit 1 with an error line and no traceback. ``boot`` and ``followup
---by_group`` must write the same bytes with ``--threads 2`` as with
-``--threads 1``, and no command may leave a process running. ``--help``,
+must exit 1 with an error line and no traceback. ``boot`` must write the
+same bytes with ``--threads 2`` and ``3`` as with ``--threads 1``, and
+``followup --by_group`` with ``--threads 2``; ``boot`` on a sample too thin
+for its base fit must exit 1 with the error line that ``fit`` prints, at
+``--threads`` 1 and 2. No command may leave a process running. ``--help``,
 ``fit --help`` and an unrecognized argument after ``km`` must print what
 ``build_parser()`` prints in this process, with the same exit code, at a
 terminal width of 80 columns. Needs no install:
@@ -62,7 +64,8 @@ def check(workdir: Path) -> list[str]:
         (["cut", "--in", "trial.csv", "--cut", "15", "--out", "cut.csv"], ["cut.csv"]),
         (["fit", *data, *fit, "--out", "fit.json", "--curve-out", "curve.csv"], ["fit.json", "curve.csv"]),
         (["boot", *data, *fit, "--nsim", "4", "--out", "boot.json"], ["boot.json"]),
-        (["boot", *data, *fit, "--nsim", "4", "--threads", "2", "--out", "boot2.json"], ["boot2.json"]),
+        *((["boot", *data, *fit, "--nsim", "4", "--threads", t, "--out", f"boot{t}.json"], [f"boot{t}.json"])
+          for t in "23"),
         *((["followup", "--rand_rate", "20", "--total_sample", "200", "--groups", "trt=1,con=1",
             "--event", "trt=0.05", "--event", "con=0.1", "--drop_rate", "0.02", "--at", "6,12",
             "--by_group", "--rep", "5", "--threads", t, "--seed", "5", "--out", f"followup{t}.csv"],
@@ -83,10 +86,11 @@ def check(workdir: Path) -> list[str]:
             elif json.loads(manifest.read_text()) != {"subcommand": argv[0], "argv": argv}:
                 problems.append(f"pwexp {argv[0]}: wrong manifest for {out}")
         written.update(outputs)
-    for serial, forked in [("boot.json", "boot2.json"), ("followup1.csv", "followup2.csv"),
+    for serial, forked in [("boot.json", "boot2.json"), ("boot.json", "boot3.json"),
+                           ("followup1.csv", "followup2.csv"),
                            ("followup1.csv.by_group.csv", "followup2.csv.by_group.csv")]:
         if (workdir / serial).read_bytes() != (workdir / forked).read_bytes():
-            problems.append(f"{forked} (--threads 2) differs from {serial} (--threads 1)")
+            problems.append(f"{forked} (more --threads) differs from {serial} (--threads 1)")
     expected = written | {f"{out}.manifest.json" for out in written}
     found = {p.name for p in workdir.iterdir()}
     if found != expected:
@@ -95,6 +99,18 @@ def check(workdir: Path) -> list[str]:
     run = pwexp(workdir, *predict, "--model", "bad.json", "--out", "bad.csv")
     if run.returncode != 1 or "Traceback" in run.stderr or not run.stderr.startswith("pwexp predict: error: "):
         problems.append(f"predict on a malformed model exited {run.returncode}:\n{run.stderr}")
+    # four distinct event times, where two change-points need six KM steps
+    (workdir / "thin.csv").write_text("followT,event\n" + "".join(f"{t},{int(t < 5)}\n" for t in range(1, 12)))
+    thin = ["--in", "thin.csv", "--nbreak", "2", "--optimizer", "hybrid", "--seed", "3"]
+    fitted = pwexp(workdir, "fit", *thin, "--out", "thin.json")
+    if fitted.returncode != 1 or not fitted.stderr.startswith("pwexp fit: error: need at least 6 "):
+        problems.append(f"fit on a thin sample exited {fitted.returncode}:\n{fitted.stderr}")
+    for t in "12":
+        run = pwexp(workdir, "boot", *thin, "--nsim", "4", "--threads", t, "--out", "thin.json")
+        if (run.returncode, run.stderr) != (1, fitted.stderr.replace("pwexp fit:", "pwexp boot:", 1)):
+            problems.append(f"boot --threads {t} on a thin sample exited {run.returncode}:\n{run.stderr}")
+    if (workdir / "thin.json").exists():
+        problems.append("a failed fit or boot wrote thin.json")
     return problems
 
 

@@ -139,7 +139,7 @@ def test_whole_valued_npsi_gives_the_int_fit():
 @pytest.mark.parametrize("resample", [pw.boot_fit, pw.cv_loglik])
 @pytest.mark.parametrize("seed", [2.5, -1, "2"])
 def test_resampling_seed_checked_before_any_fit(monkeypatch, resample, seed):
-    monkeypatch.setattr(rs, "fit", lambda *a: pytest.fail("a fit ran"))
+    monkeypatch.setattr(est, "fit", lambda *a: pytest.fail("a fit ran"))
     monkeypatch.setattr(rs, "parallel_map", lambda *a: pytest.fail("replicates ran"))
     with pytest.raises(ValueError, match="^seed must be"):
         resample(SAMPLE, CONFIG, nsim=2, seed=seed)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,17 +11,21 @@ from scipy import optimize
 import pwexp as pw
 from pwexp.distribution import PweModel
 from pwexp.errors import EmptyPieceError, NoFeasibleModelError
+import pwexp.estimation as est
 from pwexp.estimation import (
     _LineSums,
+    _MAX_GRAM_COND,
     _TOL_FRAC,
     _candidate_combos,
     _candidate_values,
     _combinations,
+    _product_rows,
     _profile,
     _run_segmented,
     _segmented_starts,
     _snap_row,
     _sub_sample,
+    _well_conditioned,
     FitConfig,
     FitResult,
     fit,
@@ -383,6 +388,153 @@ def test_line_sums_match_lstsq(case):
         assert sse[b] == pytest.approx(float(np.sum((y - D @ ref) ** 2)), rel=1e-8)
         checked += 1
     assume(checked)
+
+
+def eigvalsh_solve(sums, ramps, steps=None, line=None):
+    """``_LineSums.solve`` as it was when ``eigvalsh`` decided the condition
+    rule for every system, kept as the oracle of the determinant's
+    certificate."""
+    n, n_ramp = ramps.shape
+    if steps is None:
+        steps = np.empty((n, 0))
+    if line is None:
+        line = np.zeros(n, dtype=np.intp)
+    offset = np.concatenate([np.zeros((n, 1)), ramps, steps], axis=1)
+    r = np.zeros(offset.shape[1])
+    r[: 1 + n_ramp] = 1.0
+    j = sums.rank[line[:, None], np.searchsorted(sums.grid, offset, side="right")]
+    j[:, 0] = sums.base[line]
+    jj = np.maximum(j[:, :, None], j[:, None, :])
+    xj, t2, t1, s0 = sums.table[:4, jj]
+    kap = r[:, None] * (xj - offset[:, :, None]) + (1.0 - r[:, None])
+    kap_t = kap.transpose(0, 2, 1)
+    gram = (r[:, None] * r) * t2 + (r[:, None] * kap_t + r * kap) * t1 + (kap * kap_t) * s0
+    kap_j = np.diagonal(kap, axis1=1, axis2=2)
+    rhs = r * sums.table[5, j] + kap_j * sums.table[4, j]
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    live = diag > 0.0
+    s = np.where(live, 1.0 / np.sqrt(np.where(live, diag, 1.0)), 0.0)
+    scaled = gram * s[:, :, None] * s[:, None, :] + np.eye(len(r)) * ~live[:, None, :]
+    eig = np.linalg.eigvalsh(scaled)
+    good = eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
+    scaled[~good] = np.eye(len(r))
+    coef = s * np.linalg.solve(scaled, (s * rhs)[:, :, None])[:, :, 0]
+    sse = sums.yy[line] - np.einsum("bi,bi->b", coef, rhs)
+    coef[:, 0] += sums.b0[line]
+    for i in np.flatnonzero(~good):
+        x, y = sums.lines[line[i]]
+        D = line_design(x, ramps[i], steps[i])
+        coef[i] = np.linalg.lstsq(D, y, rcond=None)[0]
+        res = y - D @ coef[i]
+        sse[i] = float(res @ res)
+    return coef, sse
+
+
+def eigvalsh_rule(scaled):
+    eig = np.linalg.eigvalsh(scaled)
+    return eig[:, -1] < _MAX_GRAM_COND * eig[:, 0]
+
+
+@st.composite
+def gram_cases(draw):
+    """Two noisy broken lines, and rows of ramp and step thresholds on
+    either: inside the points, on one, past the last, below the first, or a
+    near-duplicate of the row's previous ramp (a near-singular Gram)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = []
+    for _ in range(2):
+        m = draw(st.integers(4, 40))
+        x = draw(st.floats(0.01, 5.0)) + np.cumsum(rng.uniform(0.05, 2.0, m))
+        lines.append((x, -0.1 * x + 0.08 * np.maximum(x - x[m // 2], 0.0) + rng.normal(0.0, 0.2, m)))
+    n_rows, n_ramp, n_step = draw(st.integers(1, 12)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    line = np.array([draw(st.integers(0, 1)) for _ in range(n_rows)], dtype=np.intp)
+
+    def thresholds(x, count, near_ok):
+        out = []
+        for _ in range(count):
+            where = draw(st.sampled_from(["inside", "on", "past", "below"] + ["near"] * (near_ok and bool(out))))
+            if where == "near":
+                out.append(out[-1] + draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-4])) * (x[-1] - x[0]))
+            elif where == "on":
+                out.append(float(x[draw(st.integers(0, len(x) - 1))]))
+            elif where == "past":
+                out.append(x[-1] + draw(st.floats(0.0, 3.0)))
+            elif where == "below":
+                out.append(x[0] - draw(st.floats(1e-3, 3.0)))
+            else:
+                i = draw(st.integers(0, len(x) - 2))
+                out.append(x[i] + draw(st.floats(0.0, 1.0)) * (x[i + 1] - x[i]))
+        return out
+
+    ramps = np.array([thresholds(lines[p][0], n_ramp, True) for p in line]).reshape(n_rows, n_ramp)
+    steps = np.array([thresholds(lines[p][0], n_step, False) for p in line]).reshape(n_rows, n_step)
+    return lines, ramps, steps, line
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_cases())
+def test_determinant_certificate_keeps_every_decision(case):
+    # every Gram the solve builds gets the all-eigvalsh decision, and the
+    # coefficients and sums of squares are those of the eigvalsh solve
+    lines, ramps, steps, line = case
+    sums = _LineSums(lines)
+    seen = []
+
+    def recorded(scaled):
+        good = _well_conditioned(scaled)
+        seen.append((scaled.copy(), good))
+        return good
+
+    with mock.patch.object(est, "_well_conditioned", recorded):
+        coef, sse = sums.solve(ramps, steps, line)
+    (scaled, good), = seen
+    assert np.array_equal(good, eigvalsh_rule(scaled))
+    want_coef, want_sse = eigvalsh_solve(sums, ramps, steps, line)
+    assert coef.tobytes() == want_coef.tobytes() and sse.tobytes() == want_sse.tobytes()
+
+
+def test_certificate_at_the_bounds():
+    # unit-diagonal Grams with one correlated pair of columns, whose
+    # eigenvalues are 1 +- rho; from k = 3 on the others are unit rows and
+    # columns, which is what the solve makes of a dead column
+    def gram(k, rho):
+        g = np.eye(k)
+        g[0, 1] = g[1, 0] = rho
+        return g
+
+    def with_cond(cond):
+        return (cond - 1.0) / (cond + 1.0)
+
+    def with_det(det):
+        return np.sqrt(1.0 - det)
+
+    cases = []  # (Gram, decision)
+    for k in (2, 3, 5):
+        bound = 4.0 * np.e * k / _MAX_GRAM_COND
+        cases += [(gram(k, with_cond(_MAX_GRAM_COND * (1.0 - 1e-3))), True),
+                  (gram(k, with_cond(_MAX_GRAM_COND * (1.0 + 1e-3))), False),
+                  (gram(k, with_det(bound * (1.0 + 1e-3))), True),
+                  (gram(k, with_det(bound * (1.0 - 1e-3))), True),
+                  (gram(k, 0.3), True)]
+    # a pair of rounding-size negative eigenvalues: det is positive, but far
+    # below the certificate
+    pair = np.kron(np.eye(2), np.array([[1.0, 1.0 + 4e-16], [1.0 + 4e-16, 1.0]]))
+    assert np.linalg.det(pair) > 0.0 and (np.linalg.eigvalsh(pair)[:2] < 0.0).all()
+    cases.append((pair, False))
+    for g, want in cases:
+        assert _well_conditioned(g[None])[0] == eigvalsh_rule(g[None])[0] == want
+    # the certificate decides the matrices just above it
+    k5 = np.array([g for g, _ in cases if g.shape == (5, 5)])
+    assert (np.linalg.det(k5) > 4.0 * np.e * 5 / _MAX_GRAM_COND).sum() == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6), min_size=1, max_size=4))
+def test_product_rows_match_itertools(sets):
+    sets = [np.array(s) for s in sets]
+    want = np.array(list(itertools.product(*sets)), dtype=float)
+    got = _product_rows(sets)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _reference_run(x, y, psi, fixed_psi, max_iter, tol):

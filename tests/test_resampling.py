@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 import weakref
 from dataclasses import replace
@@ -200,6 +202,62 @@ class TestBootFit:
         assert widths[4000] < widths[250]
 
 
+# SHA-256 of json.dumps(boot_fit(...).to_dict()), taken when the base was
+# fitted by its own fit() call before the replicates' map; the 12 replicates
+# fill a first block and spill into a second, and on the thin sample some fail
+PINNED_BOOT = {
+    ("scenario", "bfs"): "c85cd17e7c8cf711596733d756f7ce917dbf6727e90de7389d0163e45f2e1998",
+    ("scenario", "ols"): "799e8ffeca8a14d3a84007637a344488edc496dfc0c0a3c76954117b2d606ce4",
+    ("scenario", "hybrid"): "05464b32e72646e6f62f52031f3e12f8773be470070959df187ba319314460ba",
+    ("thin", "bfs"): "a538f84d6cbbf1a3a12366b38f145389b195bce35ffa985d6f3e3018e18ae87c",
+    ("thin", "ols"): "f205da0eb893ec061995b2bc8a14cb58b03c01d18fbbbecd33016132b41e5147",
+    ("thin", "hybrid"): "83711bf37143a3b7ed3c38286ad43117a3bc5ce527c8c52e6e880234075e2038",
+}
+
+
+class TestBootBytesPinned:
+    """The base fit shares the replicates' first block: the JSON bytes and
+    the errors must be what they were when it ran alone, at any threads."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("sample, optimizer", list(PINNED_BOOT))
+    def test_json_digest(self, sample, optimizer, threads):
+        if sample == "scenario":
+            data, cfg = make_scenario(seed=5, n=300)[0], FitConfig(nbreak=2, optimizer=optimizer, seed=5)
+        else:
+            data, cfg = thin_sample(9, 16), FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0)
+        bf = boot_fit(data, cfg, nsim=12, seed=3, threads=threads)
+        assert bool(bf.failures) == (sample == "thin")
+        digest = hashlib.sha256(json.dumps(bf.to_dict()).encode()).hexdigest()
+        assert digest == PINNED_BOOT[sample, optimizer]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("optimizer", ["bfs", "ols", "hybrid"])
+    def test_base_failure(self, optimizer, threads):
+        # raised as fit() raises it on the sample, and before the count of
+        # failed replicates: every replicate of these samples fails too
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, seed=0)
+        no_event = SurvSample(np.arange(1.0, 9.0), np.zeros(8, dtype=int))
+        with pytest.raises(NoFeasibleModelError) as err:
+            boot_fit(no_event, cfg, nsim=4, seed=1, threads=threads)
+        assert (type(err.value), str(err.value)) == (
+            NoFeasibleModelError, "estimation requires at least one observed event")
+        few_steps = ("every change-point combination was infeasible" if optimizer == "bfs"
+                     else "need at least 6 positive-survival event steps, got 4")
+        with pytest.raises(NoFeasibleModelError) as err:
+            boot_fit(thin_sample(4, 10), cfg, nsim=4, seed=1, threads=threads)
+        assert (type(err.value), str(err.value)) == (NoFeasibleModelError, few_steps)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("optimizer", ["ols", "hybrid"])
+    def test_failed_replicates_after_a_fitted_base(self, optimizer, threads):
+        cfg = FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0)
+        fit(thin_sample(6, 10), cfg)  # the base fits, so the count is what raises
+        with pytest.raises(NoFeasibleModelError) as err:
+            boot_fit(thin_sample(6, 10), cfg, nsim=8, seed=2, threads=threads)
+        assert str(err.value) == "8 of 8 bootstrap replicates failed to fit"
+
+
 @pytest.mark.parametrize("resample", [boot_fit, cv_loglik])
 class TestNsimArgument:
     def test_fractional_nsim_rejected(self, monkeypatch, small_train, resample):
@@ -218,7 +276,7 @@ class TestNsimArgument:
 class TestThreadsArgument:
     @pytest.mark.parametrize("threads", [0, -1, 2.5, np.nan, "2"])
     def test_rejected_before_any_fit(self, monkeypatch, small_train, resample, threads):
-        monkeypatch.setattr("pwexp.resampling.fit", lambda *a: pytest.fail("a fit ran"))
+        monkeypatch.setattr("pwexp.estimation.fit", lambda *a: pytest.fail("a fit ran"))
         monkeypatch.setattr("pwexp.resampling.parallel_map", lambda *a: pytest.fail("replicates ran"))
         with pytest.raises(ValueError, match="threads must be"):
             resample(small_train, FitConfig(nbreak=0, seed=0), nsim=2, seed=1, threads=threads)
@@ -556,14 +614,16 @@ class TestWaitingReplicatesHoldNoSample:
         cfg = FitConfig(nbreak=2, optimizer=optimizer, min_pt_tail=1, seed=0)
         scenario, _, _ = make_scenario(seed=5, n=300)
         bf = boot_fit(thin_sample(9, 16), cfg, nsim=12, seed=3)  # failing replicates
-        # the base fit, then the replicates that reach a lockstep (the
-        # thinnest fail before it)
-        assert bf.failures and locksteps[0] == 1
-        assert len(bf.replicates) <= sum(locksteps[1:]) < 12
+        # the first lockstep holds the base fit and the first block's
+        # replicates that reach a lockstep (the thinnest fail before it)
+        early = {int(f.split(":")[0].split()[1]) for f in bf.failures if "event steps" in f}
+        assert early and locksteps[0] == 1 + sum(b not in early for b in range(est._BLOCK))
+        assert len(bf.replicates) <= sum(locksteps) - 1 < 12
         boot_fit(scenario, replace(cfg, min_pt_tail=5), nsim=12, seed=3)
         cv_loglik(tied_sample(), cfg, nsim=6, seed=2)  # redrawn splits
         cv_loglik(scenario, replace(cfg, min_pt_tail=5), nsim=6, seed=3)
-        assert max(locksteps) == min(12, est._BLOCK) and len(samples) > 2 * 12
+        # the base and a full block of replicates
+        assert max(locksteps) == est._BLOCK + 1 and len(samples) > 2 * 12
 
     def test_a_list_of_samples_is_caught(self, monkeypatch):
         # the check is not vacuous: samples passed as keys in a list stay alive
