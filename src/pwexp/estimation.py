@@ -69,11 +69,11 @@ def piece_tally(breakpoints, data: SurvSample) -> PieceTally:
     _check_sample(data, need_event=False)
     b = _check_breakpoints(breakpoints)
     view = data._sorted
-    n_events, exposure = view.tally(b[None, :])
+    n_events, exposure = view.tally(b, np.arange(len(b) + 2)[:, None])
     return PieceTally(
         breakpoints=tuple(float(x) for x in b),
-        n_events=n_events[0],
-        exposure=exposure[0],
+        n_events=n_events[:, 0],
+        exposure=exposure[:, 0],
         n_suffix=view.at_risk(np.concatenate(([0.0], b))),
     )
 
@@ -284,36 +284,56 @@ def validate_breakpoints(breakpoints, data: SurvSample) -> tuple[tuple[float, ..
 # search machinery
 
 
-def _profile(view: _Sorted, B: np.ndarray, min_pt_tail: int):
-    """Profile log-likelihood of each row of sorted breakpoints ``B``.
+def _piece_terms(counts: np.ndarray, expos: np.ndarray):
+    """Each piece's log-likelihood term c (log(c / e) - 1) at its closed-form
+    rate c / e, and whether the piece holds an event and exposure time."""
+    has_c, has_e = counts > 0, expos > 0.0
+    term = np.where(has_c, counts, 1) / np.where(has_e, expos, 1.0)
+    np.log(term, out=term)
+    term -= 1.0
+    term *= counts
+    return term, has_c & has_e
+
+
+def _profile(view: _Sorted, values: np.ndarray, rows: np.ndarray, min_pt_tail: int):
+    """Profile log-likelihood of each row of ``rows`` (n, r), increasing
+    indices into the sorted change-point candidates ``values``.
 
     Returns (loglik, feasible); infeasible rows (an empty piece, zero
     exposure, or a tail with fewer than ``min_pt_tail`` events) get
     ``-inf``. This is the one feasibility rule of every search: a row is
     feasible exactly when :func:`mle_given_breakpoints` accepts it and its
     tail holds ``min_pt_tail`` events, both reading :meth:`_Sorted.tally`.
+
+    A row's first piece ends at, and its last starts from, one candidate,
+    so those two are tallied and scored once per candidate; a row itself
+    pays only for its r - 1 interior pieces. The two tallies look the
+    candidates up once each, so the cost is O(candidates log n + rows r).
+    Each row sums its r + 1 terms in piece order.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    counts, expos = view.tally(B)
-    feasible = (
-        (counts >= 1).all(axis=1)
-        & (expos > 0.0).all(axis=1)
-        & (counts[:, -1] >= min_pt_tail)
-    )
-    safe_c = np.where(counts > 0, counts, 1)
-    safe_e = np.where(expos > 0.0, expos, 1.0)
-    ll = (counts * (np.log(safe_c / safe_e) - 1.0)).sum(axis=1)
-    return np.where(feasible, ll, -np.inf), feasible
+    m, (n, r) = len(values), rows.shape
+    cols = np.ascontiguousarray(rows.T)
+    ends = np.stack([np.zeros(m, dtype=np.intp), np.arange(1, m + 1), np.full(m, m + 1)])
+    counts, expos = view.tally(values, ends)
+    end_term, end_ok = _piece_terms(counts, expos)
+    end_ok[1] &= counts[1] >= min_pt_tail
+    inner_term, inner_ok = _piece_terms(*view.tally(values, cols + 1))
+    first, last = cols[0], cols[-1]
+    feasible = end_ok[0][first] & end_ok[1][last] & inner_ok.all(axis=0)
+    terms = np.empty((r + 1, n))
+    terms[0], terms[1:r], terms[r] = end_term[0][first], inner_term, end_term[1][last]
+    return np.where(feasible, terms.T.sum(axis=1), -np.inf), feasible
 
 
-def _best_row(B: np.ndarray, ll: np.ndarray) -> int:
+def _best_row(rows: np.ndarray, ll: np.ndarray) -> int:
     """Index of the max-loglik row; equal values break to the
-    lexicographically smallest breakpoint vector for determinism."""
+    lexicographically smallest row for determinism (of indices into sorted
+    candidates, or of breakpoints: the two orders agree)."""
     best = ll.max()
     sel = np.flatnonzero(ll == best)
     if len(sel) == 1:
         return int(sel[0])
-    order = np.lexsort(B[sel].T[::-1])
+    order = np.lexsort(rows[sel].T[::-1])
     return int(sel[order[0]])
 
 
@@ -369,41 +389,50 @@ def _combinations(m: int, r: int) -> np.ndarray:
 
 def _candidate_combos(
     cands: np.ndarray, free: int, max_set: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """All ``free``-combinations of candidate values, capped at ``max_set``
-    randomly chosen ones (enumeration order kept for tie-break stability)."""
-    cands = _sub_sample(cands, free, max_set, rng)
-    combos = cands[_combinations(len(cands), free)]
-    if len(combos) > max_set:
-        keep = np.sort(rng.choice(len(combos), size=max_set, replace=False))
-        combos = combos[keep]
-    return combos
+    randomly chosen ones (enumeration order kept for tie-break stability).
+    Returns the thinned pool and the combinations as index rows into it."""
+    pool = _sub_sample(cands, free, max_set, rng)
+    rows = _combinations(len(pool), free)
+    if len(rows) > max_set:
+        # take, not rows[keep]: the same rows at a tenth of the cost here
+        rows = np.take(rows, np.sort(rng.choice(len(rows), size=max_set, replace=False)), axis=0)
+    return pool, rows
 
 
-def _merge_fixed(combos: np.ndarray, fixed: Sequence[float]) -> np.ndarray:
+def _join_fixed(values: np.ndarray, rows: np.ndarray, fixed: Sequence[float]):
+    """The candidate vector with the fixed change-points joined, and each
+    index row with theirs added. The candidates hold no fixed value, so a
+    row sorted by index is sorted by value."""
     if not len(fixed):
-        return combos
-    tiled = np.tile(np.asarray(fixed, dtype=float), (len(combos), 1))
-    return np.sort(np.concatenate([combos, tiled], axis=1), axis=1)
+        return values, rows
+    joined = np.sort(np.concatenate([values, fixed]))
+    pinned = np.broadcast_to(np.searchsorted(joined, fixed), (len(rows), len(fixed)))
+    return joined, np.sort(np.concatenate([np.searchsorted(joined, values)[rows], pinned], axis=1), axis=1)
 
 
-def _search(view: _Sorted, rows: np.ndarray, config: "FitConfig", label: str, score=None):
+def _search(view: _Sorted, values: np.ndarray, rows: np.ndarray, config: "FitConfig", label: str,
+            score=None):
     """The change-point search shared by every optimizer.
 
-    Merges the fixed change-points into each row of free ones and marks the
-    feasible rows with one :func:`_profile`. Rows are scored by
-    their profile log-likelihood, or by ``score`` (higher is better) over
-    the feasible rows only. Returns (all rows, index of the best one,
-    feasible mask).
+    ``rows`` (n, free) are increasing indices into ``values``, sorted
+    candidates among which no fixed change-point is. The fixed ones join
+    the vector and every row, and one :func:`_profile` marks the
+    feasible rows, at a cost of O(candidates log n + rows r). Rows are
+    scored by their profile log-likelihood, or by ``score`` of their
+    breakpoints (higher is better) over the feasible rows only. Returns
+    (the best row's breakpoints, its index, feasible mask).
     """
-    B = _merge_fixed(rows, config.fixed_breakpoints)
-    ll, feasible = _profile(view, B, config.min_pt_tail)
+    values, rows = _join_fixed(values, rows, config.fixed_breakpoints)
+    ll, feasible = _profile(view, values, rows, config.min_pt_tail)
     if not feasible.any():
         raise NoFeasibleModelError(f"every {label} was infeasible")
     if score is not None:
-        ll = np.full(len(B), -np.inf)
-        ll[feasible] = score(B[feasible])
-    return B, _best_row(B, ll), feasible
+        ll = np.full(len(rows), -np.inf)
+        ll[feasible] = score(values[rows[feasible]])
+    i = _best_row(rows, ll)
+    return values[rows[i]], i, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +490,10 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     :func:`fit_ols` and :func:`fit_hybrid`, which scores each by its profile
     log-likelihood (the closed-form MLE) and skips infeasible combinations
     (empty piece, thin tail); excluded event times are never candidates.
+    ``diagnostics`` counts the combinations scored and the feasible ones,
+    the candidates and the pool the combinations index (``n_pool``), and
+    says whether every combination of every candidate was scored
+    (``exhaustive``).
 
     Raises :class:`NoFeasibleModelError` when the sample has no event, no
     more distinct event times than change-points or fewer candidates than
@@ -475,12 +508,14 @@ def fit_bfs(data: SurvSample, config: FitConfig) -> FitResult:
     if len(view.event_times) <= config.nbreak:
         raise NoFeasibleModelError("need more distinct event times than change-points")
     cands = _candidate_values(view, config)
-    combos = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
-    B, i, feasible = _search(view, combos, config, "change-point combination")
-    return _searched(B[i], data, "bfs", [], {
-        "n_combinations": int(len(B)),
+    pool, rows = _candidate_combos(cands, free, config.max_set, derive_rng(config.seed, 101))
+    b, _, feasible = _search(view, pool, rows, config, "change-point combination")
+    return _searched(b, data, "bfs", [], {
+        "n_combinations": int(len(rows)),
         "n_feasible": int(feasible.sum()),
         "n_candidates": int(len(cands)),
+        "n_pool": int(len(pool)),
+        "exhaustive": len(rows) == comb(len(cands), free),
     })
 
 
@@ -895,17 +930,18 @@ class _OlsSearch:
         if free == 0:
             return np.asarray(fixed), [], [], []
         if seg.converged:
-            row = _merge_fixed(np.array([seg.psi]), fixed)
+            row = np.sort(np.concatenate([seg.psi, fixed]))
             lo, hi = config.exclude_int or (np.inf, np.inf)
-            if _profile(view, row, config.min_pt_tail)[1][0] and not any(lo <= p < hi for p in seg.psi):
-                return row[0], list(seg.psi), list(seg.se), []
+            feasible = _profile(view, row, np.arange(len(row))[None, :], config.min_pt_tail)[1][0]
+            if feasible and not any(lo <= p < hi for p in seg.psi):
+                return row, list(seg.psi), list(seg.se), []
             reason = "segmented solution violated feasibility constraints"
         else:
             reason = "segmented regression did not converge"
-        rows = _candidate_combos(_candidate_values(view, config), free, config.max_set, self.rng)
+        pool, rows = _candidate_combos(_candidate_values(view, config), free, config.max_set, self.rng)
         score = lambda B: -_screen_sse(self.x, self.y, B)
-        B, i, _ = _search(view, rows, config, "OLS fallback combination", score=score)
-        return B[i], [float(p) for p in rows[i]], None, [f"{reason}; grid fallback used"]
+        b, i, _ = _search(view, pool, rows, config, "OLS fallback combination", score=score)
+        return b, [float(p) for p in pool[rows[i]]], None, [f"{reason}; grid fallback used"]
 
     def ols_result(self, seg: SegmentedFit, data: SurvSample) -> FitResult:
         bps, psi, se, warnings = self.breakpoints(seg, data)
@@ -921,11 +957,11 @@ class _OlsSearch:
         spacing = (cands[-1] - cands[0]) / max(len(cands) - 1, 1) if len(cands) > 1 else 1.0
         rng = derive_rng(config.seed, 303)
 
-        sets: list[np.ndarray] = []
+        sets: list[np.ndarray] = []  # indices into cands
         for k, p in enumerate(psi):
             s_k = se[k] if se is not None else np.nan
             win = 1.96 * s_k if np.isfinite(s_k) and s_k > 0.0 else 3.0 * spacing
-            inside = cands[(cands >= p - win) & (cands <= p + win)]
+            inside = np.flatnonzero((cands >= p - win) & (cands <= p + win))
             if len(inside) < 3:
                 inside = _nearest(cands, p, k=min(3, len(cands)))
             sets.append(inside)
@@ -936,19 +972,21 @@ class _OlsSearch:
         else:
             picks = [s[rng.integers(0, len(s), size=config.max_set)] for s in sets]
             rows = np.column_stack(picks)
-        rows = rows[(np.diff(rows, axis=1) > 0.0).all(axis=1)]
+        rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
         if len(rows) > config.max_set:
             sel = np.sort(rng.choice(len(rows), size=config.max_set, replace=False))
             rows = rows[sel]
         snapped = _snap_row(cands, psi)
         if snapped is not None:
-            rows = np.vstack([rows, snapped[None, :]]) if len(rows) else snapped[None, :]
+            rows = np.vstack([rows, snapped[None, :]])
         if len(rows) == 0:
             raise NoFeasibleModelError("hybrid candidate set is empty")
 
-        B, i, _ = _search(view, rows, config, "hybrid candidate row")
-        return _searched(B[i], data, "hybrid", warnings, {
-            "n_rows": int(len(B)),
+        # the search's candidates: the windows' and the snapped row's values
+        used, inverse = np.unique(rows, return_inverse=True)
+        b, _, _ = _search(view, cands[used], inverse.reshape(rows.shape), config, "hybrid candidate row")
+        return _searched(b, data, "hybrid", warnings, {
+            "n_rows": int(len(rows)),
             "ols_breakpoints": psi,
             "ols_se": se,
             "candidate_set_sizes": [int(len(s)) for s in sets],
@@ -987,8 +1025,9 @@ def _segmented_record(seg: SegmentedFit) -> dict:
 
 
 def _nearest(values: np.ndarray, target: float, k: int = 1) -> np.ndarray:
+    """Indices of the ``k`` values nearest ``target``, increasing."""
     order = np.argsort(np.abs(values - target), kind="stable")
-    return values[np.sort(order[:k])]
+    return np.sort(order[:k])
 
 
 def _product_rows(sets: Sequence[np.ndarray]) -> np.ndarray:
@@ -998,15 +1037,15 @@ def _product_rows(sets: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _snap_row(cands: np.ndarray, psi: Sequence[float]) -> np.ndarray | None:
-    """OLS breaks snapped to distinct candidate values, kept ordered."""
-    used: list[float] = []
+    """OLS breaks snapped to distinct values of the sorted, distinct
+    ``cands``, kept ordered: their indices, or None when they run out."""
+    used: list[int] = []
     for p in sorted(psi):
-        pool = cands[~np.isin(cands, used)]
-        pool = pool[pool > (used[-1] if used else -np.inf)]
-        if len(pool) == 0:
+        lo = used[-1] + 1 if used else 0
+        if lo == len(cands):
             return None
-        used.append(float(pool[np.argmin(np.abs(pool - p))]))
-    return np.asarray(used)
+        used.append(lo + int(np.argmin(np.abs(cands[lo:] - p))))
+    return np.asarray(used, dtype=np.intp)
 
 
 def fit_hybrid(data: SurvSample, config: FitConfig) -> FitResult:

@@ -149,19 +149,22 @@ class _Sorted:
         k = np.searchsorted(self.time, d, side="left")
         return self.prefix[k] + d * (len(self.time) - k)
 
-    def tally(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Events and exposure per piece, two (rows, r + 1) arrays, for the
-        rows of sorted breakpoints ``B``. A piece that starts at or past the
-        largest time has exactly 0 exposure, not the rounding noise the
-        running sums leave when that time is tied."""
-        # looked up one breakpoint column at a time: a search enumerates its
-        # rows in order, so each column is nearly sorted, which makes
-        # searchsorted several times faster than on the interleaved rows
-        Bt = np.ascontiguousarray(B.T)
-        counts = np.diff(self.events_before(Bt), axis=0, prepend=0, append=self.cum_events[-1])
-        exposure = np.diff(self.exposure_to(Bt), axis=0, prepend=0.0, append=self.prefix[-1])
-        exposure[1:][Bt >= self.time[-1]] = 0.0
-        return counts.T, exposure.T
+    def tally(self, values: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Events and exposure of the pieces between consecutive edges, two
+        (k - 1, rows) arrays, for each column of ``edges`` (k, rows): k
+        increasing indices into (0, *values, past the largest time), with
+        ``values`` sorted.
+
+        Each value is looked up once, and a column only gathers and
+        subtracts, so the cost is O(len(values) log n + rows k). A piece that
+        starts at or past the largest time has exactly 0 exposure, not the
+        rounding noise the running sums leave when that time is tied."""
+        before = np.concatenate(([0], self.events_before(values), self.cum_events[-1:]))
+        to = np.concatenate(([0.0], self.exposure_to(values), self.prefix[-1:]))
+        idle = np.concatenate(([False], values >= self.time[-1], [True]))
+        exposure = np.diff(to[edges], axis=0)
+        exposure[idle[edges[:-1]]] = 0.0
+        return np.diff(before[edges], axis=0), exposure
 
     def km(self) -> KmCurve:
         """Product-limit estimate; see :func:`km_fit`."""

@@ -7,7 +7,9 @@ must exit 1 with an error line and no traceback. ``boot`` must write the
 same bytes with ``--threads 2`` and ``3`` as with ``--threads 1``, and
 ``followup --by_group`` with ``--threads 2``; ``boot`` on a sample too thin
 for its base fit must exit 1 with the error line that ``fit`` prints, at
-``--threads`` 1 and 2. No command may leave a process running. ``--help``,
+``--threads`` 1 and 2. ``fit --optimizer bfs`` and ``hybrid`` with a fixed
+change-point and an excluded interval must write the bytes of the same fit
+made in this process. No command may leave a process running. ``--help``,
 ``fit --help`` and an unrecognized argument after ``km`` must print what
 ``build_parser()`` prints in this process, with the same exit code, at a
 terminal width of 80 columns. Needs no install:
@@ -28,6 +30,7 @@ from pathlib import Path
 from unittest import mock
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PINNED_FIT = ["--nbreak", "2", "--fixed_breakpoints", "14", "--exclude_int", "23,Inf", "--seed", "3"]
 
 
 def pwexp(workdir: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -62,6 +65,9 @@ def check(workdir: Path) -> list[str]:
         (["simulate", "--rand_rate", "20", "--total_sample", "300", "--event", "0.1,0.05@6",
           "--drop_rate", "0.02", "--seed", "1", "--out", "trial.csv"], ["trial.csv"]),
         (["cut", "--in", "trial.csv", "--cut", "15", "--out", "cut.csv"], ["cut.csv"]),
+        (["cut", "--in", "trial.csv", "--cut", "40", "--out", "late.csv"], ["late.csv"]),
+        *((["fit", "--in", "late.csv", *PINNED_FIT, "--optimizer", o, "--out", f"pinned_{o}.json"],
+           [f"pinned_{o}.json"]) for o in ("bfs", "hybrid")),
         (["fit", *data, *fit, "--out", "fit.json", "--curve-out", "curve.csv"], ["fit.json", "curve.csv"]),
         (["boot", *data, *fit, "--nsim", "4", "--out", "boot.json"], ["boot.json"]),
         *((["boot", *data, *fit, "--nsim", "4", "--threads", t, "--out", f"boot{t}.json"], [f"boot{t}.json"])
@@ -114,6 +120,30 @@ def check(workdir: Path) -> list[str]:
     return problems
 
 
+def check_in_process(workdir: Path) -> list[str]:
+    """The problems found in the ``fit`` runs with a fixed change-point and
+    an excluded interval: each must write the bytes that ``fit`` and
+    ``FitResult.save_json`` write in this process, and keep the fixed
+    change-point, which every searched row joins."""
+    sys.path.insert(0, str(SRC))
+    from pwexp import FitConfig, fit, read_survival_csv
+
+    data = read_survival_csv(workdir / "late.csv", time_col="followT", event_col="event")
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for optimizer in ("bfs", "hybrid"):
+            cfg = FitConfig(nbreak=2, fixed_breakpoints=(14.0,), optimizer=optimizer,
+                            exclude_int=(23.0, float("inf")), seed=3)
+            res = fit(data, cfg)
+            res.save_json(Path(tmp) / "fit.json")
+            name = f"pinned_{optimizer}.json"
+            if (workdir / name).read_bytes() != (Path(tmp) / "fit.json").read_bytes():
+                problems.append(f"{name} differs from the in-process fit's save_json")
+            if 14.0 not in res.model.breakpoints or any(b >= 23.0 for b in res.model.breakpoints):
+                problems.append(f"{name}: breakpoints {res.model.breakpoints} lost 14 or entered [23, Inf)")
+    return problems
+
+
 def check_help(workdir: Path) -> list[str]:
     """The problems found in help and usage errors: each must match what
     ``build_parser()`` prints in this process."""
@@ -140,7 +170,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(argv[0]) if argv else Path(tmp)
         workdir.mkdir(parents=True, exist_ok=True)
-        problems = check(workdir) + check_help(workdir)
+        problems = check(workdir)
+        problems += (check_in_process(workdir) if not problems else []) + check_help(workdir)
     for problem in problems:
         print(problem, file=sys.stderr)
     print("cli subprocess checks:", "FAILED" if problems else "ok")

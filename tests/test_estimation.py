@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import json
 import re
+from dataclasses import replace
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -297,11 +300,12 @@ class TestCandidateCombos:
         # the enumeration order decides which rows max_set's random picks keep
         cands = np.sort(np.random.default_rng(free).exponential(8.0, size=40))
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = _candidate_combos(cands, free, max_set, rng)
-        pool = _sub_sample(cands, free, max_set, ref_rng)
+        pool, rows = _candidate_combos(cands, free, max_set, rng)
+        assert pool.tobytes() == _sub_sample(cands, free, max_set, ref_rng).tobytes()
         want = np.array(list(itertools.combinations(pool, free)), dtype=float)
         if len(want) > max_set:
             want = want[np.sort(ref_rng.choice(len(want), size=max_set, replace=False))]
+        got = pool[rows]
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -737,11 +741,12 @@ class TestFitHybrid:
         product = int(np.prod(res.diagnostics["candidate_set_sizes"]))
         assert product > max_set and (product > 4 * max_set) == (max_set == 2)
         assert res.diagnostics["n_rows"] <= max_set + 1
-        view = d._sorted
-        ll, feasible = _profile(view, np.array([res.model.breakpoints]), cfg.min_pt_tail)
+        view, one_row = d._sorted, np.array([[0, 1]])
+        ll, feasible = _profile(view, np.array(res.model.breakpoints), one_row, cfg.min_pt_tail)
         assert feasible[0] and ll[0] == pytest.approx(res.loglik, rel=1e-12)
-        snapped = _snap_row(_candidate_values(view, cfg), res.diagnostics["ols_breakpoints"])
-        snapped_ll, snapped_feasible = _profile(view, snapped[None, :], cfg.min_pt_tail)
+        cands = _candidate_values(view, cfg)
+        snapped = cands[_snap_row(cands, res.diagnostics["ols_breakpoints"])]
+        snapped_ll, snapped_feasible = _profile(view, snapped, one_row, cfg.min_pt_tail)
         assert snapped_feasible[0] and res.loglik >= snapped_ll[0] - 1e-9
         assert fit_hybrid(d, cfg).to_dict() == res.to_dict()
 
@@ -897,10 +902,29 @@ def reference_tally(breakpoints, data):
     return n_events, np.diff(np.concatenate(([0.0], acc))), n_suffix
 
 
+def per_row_profile(view: _Sorted, B: np.ndarray, min_pt_tail: int):
+    """The per-row tally and profile that the candidate-vector ones replaced,
+    kept as their reference: (counts, exposure, loglik, feasible) of the rows
+    of sorted breakpoints ``B``, each row looked up and scored on its own."""
+    Bt = np.ascontiguousarray(B.T)
+    counts = np.diff(view.events_before(Bt), axis=0, prepend=0, append=view.cum_events[-1]).T
+    expos = np.diff(view.exposure_to(Bt), axis=0, prepend=0.0, append=view.prefix[-1])
+    expos[1:][Bt >= view.time[-1]] = 0.0
+    expos = expos.T
+    feasible = (counts >= 1).all(axis=1) & (expos > 0.0).all(axis=1) & (counts[:, -1] >= min_pt_tail)
+    safe_c = np.where(counts > 0, counts, 1)
+    safe_e = np.where(expos > 0.0, expos, 1.0)
+    ll = (counts * (np.log(safe_c / safe_e) - 1.0)).sum(axis=1)
+    return counts, expos, np.where(feasible, ll, -np.inf), feasible
+
+
 @st.composite
 def samples_and_rows(draw):
-    """A censored sample, possibly with heavy ties, and strictly increasing
-    rows of change-points: at event times, between them, or past the end."""
+    """A censored sample, possibly with heavy ties, a sorted vector of
+    change-point candidates and r = 1..4 increasing index rows into it, as
+    the search builds them: candidates at event times, between them, at the
+    largest time (tied or not) and past it, with 0..r - 1 fixed change-points
+    joined to the vector and to every row."""
     tied = draw(st.booleans())
     time = st.sampled_from([0.7, 1.0, 2.9, 3.0, 4.7, 6.1]) if tied else st.floats(0.01, 30.0)
     obs = draw(st.lists(st.tuples(time, st.booleans()), min_size=2, max_size=40))
@@ -908,20 +932,34 @@ def samples_and_rows(draw):
     event = np.array([e for _, e in obs], dtype=int)
     event[0] = 1
     data = SurvSample(times, event)
-    pool = st.sampled_from(sorted(set(times[event == 1]))) | st.floats(0.01, 35.0)
-    rows = draw(st.lists(st.lists(pool, min_size=1, max_size=3, unique=True), min_size=1, max_size=8))
-    width = len(rows[0])
-    B = np.array([sorted(r) for r in rows if len(r) == width], dtype=float)
-    return data, B, draw(st.integers(1, 6))
+    t_max = float(times.max())
+    point = (st.sampled_from(sorted(set(times[event == 1]))) | st.floats(0.01, 35.0)
+             | st.just(t_max) | st.floats(t_max, 2.0 * t_max + 1.0))
+    r = draw(st.integers(1, 4))
+    n_fixed = draw(st.integers(0, r - 1))
+    points = draw(st.lists(point, min_size=r, max_size=r + 8, unique=True))
+    fixed, values = np.sort(points[:n_fixed]), np.sort(points[n_fixed:])
+    combos = st.lists(st.integers(0, len(values) - 1), min_size=r - n_fixed, max_size=r - n_fixed, unique=True)
+    rows = np.sort(np.array(draw(st.lists(combos, min_size=1, max_size=12)), dtype=np.intp), axis=1)
+    values, rows = est._join_fixed(values, rows, fixed)
+    return data, values, rows, draw(st.integers(1, 6))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(samples_and_rows())
 def test_profile_feasible_exactly_when_mle_succeeds(case):
-    data, B, min_pt_tail = case
-    ll, feasible = _profile(data._sorted, B, min_pt_tail)
+    data, values, rows, min_pt_tail = case
+    view, B = data._sorted, values[rows]
+    assert (np.diff(B, axis=1) > 0.0).all()
+    ll, feasible = _profile(view, values, rows, min_pt_tail)
+    # bit for bit what each row scored and tallied on its own
+    counts, expos, want_ll, want_feasible = per_row_profile(view, B, min_pt_tail)
+    assert ll.tobytes() == want_ll.tobytes() and feasible.tobytes() == want_feasible.tobytes()
+    edges = np.vstack([np.zeros(len(rows), dtype=np.intp), rows.T + 1, np.full(len(rows), len(values) + 1)])
+    got_counts, got_expos = view.tally(values, edges)
+    assert got_counts.T.tobytes() == counts.tobytes() and got_expos.T.tobytes() == expos.tobytes()
     ev = data.time[data.event == 1]
-    for row, row_ll, ok in zip(B, ll, feasible):
+    for row, row_ll, ok, row_counts, row_expos in zip(B, ll, feasible, counts, expos):
         try:
             res = mle_given_breakpoints(row, data)
         except EmptyPieceError:
@@ -932,6 +970,7 @@ def test_profile_feasible_exactly_when_mle_succeeds(case):
         else:
             assert row_ll == -np.inf
         tally = piece_tally(row, data)
+        assert tally.n_events.tobytes() == row_counts.tobytes() and tally.exposure.tobytes() == row_expos.tobytes()
         assert tally.n_events.sum() == data.n_events
         assert tally.exposure.sum() == pytest.approx(data.time.sum(), rel=1e-12)
         n_events, exposure, n_suffix = reference_tally(row, data)
@@ -946,14 +985,126 @@ def test_profile_feasible_exactly_when_mle_succeeds(case):
         np.testing.assert_allclose(tally.exposure, exposure, rtol=1e-12, atol=1e-12 * data.time.sum())
 
 
+# SHA-256 of json.dumps([fit(...).to_dict(), the diagnostics under the keys
+# below]), taken when every search row was looked up and scored on its own:
+# make_scenario(2024) and the benchmark's reference design at 1e4 subjects
+# (seed 1, cut at month 40: 8,000 subjects, 4,355 distinct event times).
+# nbreak=1 ols and hybrid fits take the grid fallback, so its scored search
+# is pinned too; nbreak=1 with a fixed break is fixed-only.
+PINNED_FITS = {
+    ("scenario", "bfs", 1, "free"): "3efe83a16cf295529faa9081f3dadf4a93de9d81969b14af2b0add0cab25aa2e",
+    ("scenario", "bfs", 1, "fixed"): "540fffb0a1f3f3eaddf8c4e454bcdd79e457d7a6728d939631e46990739cb791",
+    ("scenario", "bfs", 1, "exclude"): "08d409b3f3f1de179dcc406e6a386715c1d077dea4ff47dd1329d8bde0134719",
+    ("scenario", "bfs", 2, "free"): "d360e42f4677ec817b86e6ab8b1f9c0154fd7b0d988219fb28864b6de59bb08e",
+    ("scenario", "bfs", 2, "fixed"): "c36db9dc45ad08a12703a95e759e1b2460ddf3e99dd5164fa6bd761096afe65a",
+    ("scenario", "bfs", 2, "exclude"): "902d8f6d1aa79a7858f5b7f9b5698e6104b1663594e80f58013e032fd44936e7",
+    ("scenario", "bfs", 3, "free"): "becfb0cf21c35b0b60f5be3a10fdac7eb25500485cb1a1ed67de9592a6e5564c",
+    ("scenario", "bfs", 3, "fixed"): "d1e9740d6bf575f8af650b4407ce2c2123a64daf6688592400d774a536cd64d2",
+    ("scenario", "bfs", 3, "exclude"): "c1febab1df418ca06a52f5d5387b88ad8c9ef5b3b726b4f9a7fdbbd64fe9ca43",
+    ("scenario", "ols", 1, "free"): "03f18016ad73fe48f03bff676d804d1aba2f9ab77ba4fb81f9fda625ebad997d",
+    ("scenario", "ols", 1, "fixed"): "540fffb0a1f3f3eaddf8c4e454bcdd79e457d7a6728d939631e46990739cb791",
+    ("scenario", "ols", 1, "exclude"): "03f18016ad73fe48f03bff676d804d1aba2f9ab77ba4fb81f9fda625ebad997d",
+    ("scenario", "ols", 2, "free"): "c2a581065d52303dfd76f1832cae683d76df3a6baa5fec9ae1c2f20796d48884",
+    ("scenario", "ols", 2, "fixed"): "7384f7de13fdcce85e6391ca1bbd534dfe881220decee130ba04f4b1e5c205dd",
+    ("scenario", "ols", 2, "exclude"): "c2a581065d52303dfd76f1832cae683d76df3a6baa5fec9ae1c2f20796d48884",
+    ("scenario", "ols", 3, "free"): "9d8f09bd7075e8ad6383fd8c686de1eeab99eafc61bf50db93e974f7f393d13a",
+    ("scenario", "ols", 3, "fixed"): "4ddbe570242c2a4b490d1450b3d10096049fafce59c5988c89bf0856e7d6c0d4",
+    ("scenario", "ols", 3, "exclude"): "21a4489f574be7e9b3309a2d0f789d98d40310f8164c05d744dec6c5cf24b4e4",
+    ("scenario", "hybrid", 1, "free"): "ad17f5eabb6c5d604dab0a418f52fa0c90ada771a1c602813310384912d9578c",
+    ("scenario", "hybrid", 1, "fixed"): "540fffb0a1f3f3eaddf8c4e454bcdd79e457d7a6728d939631e46990739cb791",
+    ("scenario", "hybrid", 1, "exclude"): "ca36f235a130ca48834d33c2c61aa165aded513cebfc63897d93b4d01a725476",
+    ("scenario", "hybrid", 2, "free"): "1020426f06f4cae237b5c33c0f0d383a88007e4abdfc4d1e882060ae61501c6e",
+    ("scenario", "hybrid", 2, "fixed"): "bdf02b4732e5a4c012518571b544ae3e86587fef6e4d68157b278814cf74a479",
+    ("scenario", "hybrid", 2, "exclude"): "1020426f06f4cae237b5c33c0f0d383a88007e4abdfc4d1e882060ae61501c6e",
+    ("scenario", "hybrid", 3, "free"): "6ac2e6040883188370121160e2f9cfc99592b312d6ff200c98d452b2af7e8e8d",
+    ("scenario", "hybrid", 3, "fixed"): "2a77cd6da50079040ade87d2c0a3a8ca8aef38e96024503e4195a4840c01e4ee",
+    ("scenario", "hybrid", 3, "exclude"): "221561320f6bdfcdabcb3435f58177ba507f606f05beca212de57df05d2ef9f9",
+    ("reference", "bfs", 1, "free"): "7b7b82976578841ab6affb00af8745ff789066f8a3f2a7607cc2ba02e7cb5568",
+    ("reference", "bfs", 1, "fixed"): "c24f78457b2a610e63703d516b0694dac648b82e19ab7f8651e840c7d89a57d9",
+    ("reference", "bfs", 1, "exclude"): "732f8ed3928fa2b1f90e3755cb1238d2ae68cee7c39aa131cbcabe60f0211959",
+    ("reference", "bfs", 2, "free"): "ce16e9c6f7b67113928ba513e664f9bd2e92b87ad6d429e895cf0a6631bab2d1",
+    ("reference", "bfs", 2, "fixed"): "e0d7af65434f84dcc36cdf8a5e39072504eacdf7224f6a10e5d9d90d501cb75e",
+    ("reference", "bfs", 2, "exclude"): "2acc8c22c5563ee95b7c715b7a90d3ff7f5e5842bdbeb94c4f76a6ecad98c452",
+    ("reference", "bfs", 3, "free"): "4aa5ef482d9ea522abe430e9785d5b1034d1082895e7e85d7cade0627e1b9b3f",
+    ("reference", "bfs", 3, "fixed"): "81225b6c7a181a1ff75a323c00632e958cbe3b35bd562be228b32a9048d3a097",
+    ("reference", "bfs", 3, "exclude"): "05bf2dab6207e47cd1be20b6eaf5b1d9c8200aec4dc9b7d2a8c1d3353445f3bf",
+    ("reference", "ols", 1, "free"): "e2b2b9aafb0b9ab16f3a52c4f3157c8c9d2ef4efb039e7b725f56a579c1c680c",
+    ("reference", "ols", 1, "fixed"): "c24f78457b2a610e63703d516b0694dac648b82e19ab7f8651e840c7d89a57d9",
+    ("reference", "ols", 1, "exclude"): "e2b2b9aafb0b9ab16f3a52c4f3157c8c9d2ef4efb039e7b725f56a579c1c680c",
+    ("reference", "ols", 2, "free"): "36b13260865f8ec38d65032803a4d94f8636c5b72b1b8ea8081b70bada9ac586",
+    ("reference", "ols", 2, "fixed"): "efe8db087b0898700857c676945e1f418d870ba8ee0ddb6e3836c5c337f8b80b",
+    ("reference", "ols", 2, "exclude"): "36b13260865f8ec38d65032803a4d94f8636c5b72b1b8ea8081b70bada9ac586",
+    ("reference", "ols", 3, "free"): "21920e7e9e729b955dc9cbae0ef1b4a9b1f0660efa1e7e1f37ebe28d0d018fcd",
+    ("reference", "ols", 3, "fixed"): "9b0da8df89dcd6f804db8ec07f59b10b97ec1041131daf6ae0c3817c6a63710d",
+    ("reference", "ols", 3, "exclude"): "78771e08cfdb88d4e8a25606e92e8b49b6b244b2e7f5cd02622237490e2b2bd4",
+    ("reference", "hybrid", 1, "free"): "4b7b4e0556113c24e55a3370f47523b6ceafe6b84d5a09aab0374f8d0845cea0",
+    ("reference", "hybrid", 1, "fixed"): "c24f78457b2a610e63703d516b0694dac648b82e19ab7f8651e840c7d89a57d9",
+    ("reference", "hybrid", 1, "exclude"): "66c16592de1e657acc731a95546747fa970b724d5ae71a53e68a4b5f1a507b9a",
+    ("reference", "hybrid", 2, "free"): "46da73ec1034c470eb3cc65f7cfcfe981fb96821346728289b6ab9ae25868331",
+    ("reference", "hybrid", 2, "fixed"): "d66752f937a5032cfdcab6c1ea3a6d19a404e165a2cc38eb82a02f197f168cf1",
+    ("reference", "hybrid", 2, "exclude"): "46da73ec1034c470eb3cc65f7cfcfe981fb96821346728289b6ab9ae25868331",
+    ("reference", "hybrid", 3, "free"): "95b4b5e5357035f88ee6bca1db459ba3b3ec78b760fb85a260c06d863eebf4ad",
+    ("reference", "hybrid", 3, "fixed"): "867131c1a291b0ccb29e25efd8c46d4c54eed27ec3afb31c0ecc46cccfdb5fb7",
+    ("reference", "hybrid", 3, "exclude"): "9e101a30734183fbeba9460cbf62d221489d714fa45106fe4e70438685c260d9",
+}
+PINNED_DIAGNOSTICS = {
+    "fixed": (),
+    "bfs": ("n_candidates", "n_combinations", "n_feasible"),
+    "ols": ("breakpoint_se", "free_breakpoints", "segmented_converged", "segmented_n_iter",
+            "segmented_starts_converged", "slope"),
+    "hybrid": ("candidate_set_sizes", "n_rows", "ols_breakpoints", "ols_se", "segmented_n_iter",
+               "segmented_starts_converged"),
+}
+PINNED_CONSTRAINTS = {"free": {}, "fixed": {"fixed_breakpoints": (14.0,)}, "exclude": {"exclude_int": (23.0, np.inf)}}
+
+
+@pytest.fixture(scope="module")
+def pinned_samples(scenario_train):
+    design = pw.TrialDesign(rand_rate=200.0, total_sample=10_000, drop_rate=0.03,
+                            dists=pw.ArmModel(event=PweModel((0.1, 0.01, 0.2), (5.0, 14.0))))
+    reference = pw.cut_data(pw.simulate_trial(design, seed=1).to_surv_sample(), 40.0)
+    return {"scenario": scenario_train, "reference": reference}
+
+
+class TestFitBytesPinned:
+    """Rows are index rows into one sorted candidate vector, scored once per
+    candidate: every fit must give the bytes and diagnostics it gave when
+    each row was scored on its own."""
+
+    @pytest.mark.parametrize("sample, optimizer, nbreak, constraint", list(PINNED_FITS))
+    def test_json_digest(self, pinned_samples, sample, optimizer, nbreak, constraint):
+        cfg = FitConfig(nbreak=nbreak, optimizer=optimizer, seed=0, **PINNED_CONSTRAINTS[constraint])
+        res = fit(pinned_samples[sample], cfg)
+        keys = PINNED_DIAGNOSTICS[res.optimizer]
+        added = {"n_pool", "exhaustive"} if res.optimizer == "bfs" else set()
+        assert set(res.diagnostics) == set(keys) | added
+        text = json.dumps([res.to_dict(), {k: res.diagnostics[k] for k in keys}])
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FITS[sample, optimizer, nbreak, constraint]
+
+
 class TestRunRecordKeys:
     """Diagnostics keys and warning texts that the layer counters of
     ``bench/run.py`` read from fit results."""
 
     def test_bfs_counts(self, scenario_train):
         diag = fit(scenario_train, FitConfig(nbreak=2, optimizer="bfs", seed=0)).diagnostics
-        assert {"n_combinations", "n_feasible", "n_candidates"} <= diag.keys()
+        assert {"n_combinations", "n_feasible", "n_candidates", "n_pool", "exhaustive"} <= diag.keys()
         assert 0 < diag["n_feasible"] <= diag["n_combinations"]
+        # the rows index a thinned pool of the candidates
+        assert diag["n_pool"] < diag["n_candidates"] and diag["exhaustive"] is False
+        assert diag["n_combinations"] <= comb(diag["n_pool"], 2)
+
+    def test_bfs_exhaustive(self):
+        # 100 distinct event times give 4,950 pairs: all are scored under the
+        # default max_set; one fewer keeps the pool whole but drops a pair
+        d = SurvSample(np.arange(1.0, 101.0), np.ones(100, dtype=int))
+        cfg = FitConfig(nbreak=2, optimizer="bfs", min_pt_tail=1, seed=0)
+        diag = fit(d, cfg).diagnostics
+        assert diag["exhaustive"] is True
+        assert diag["n_pool"] == diag["n_candidates"] == 100 and diag["n_combinations"] == comb(100, 2)
+        thinned = fit(d, replace(cfg, max_set=comb(100, 2) - 1)).diagnostics
+        assert thinned["exhaustive"] is False
+        assert thinned["n_pool"] == 100 and thinned["n_combinations"] == comb(100, 2) - 1
 
     def test_hybrid_rows(self, scenario_train):
         diag = fit(scenario_train, FitConfig(nbreak=2, optimizer="hybrid", seed=0)).diagnostics
